@@ -123,8 +123,8 @@ struct DeltaStats {
   std::size_t unchanged = 0;     ///< segments kept pointer-identical
   std::uint64_t epoch = 0;       ///< table epoch after the event
   /// Every destination whose published segment changed (recomputed ∪
-  /// patched) — for consumers that invalidate downstream caches or dirty
-  /// verification sets (verify::ChangeSet, sim::FluidSim::invalidate_routes).
+  /// patched) — the destinations chaos::RouteController reprograms into
+  /// the FIBs and daemons.
   std::vector<AsId> touched_dests;
 };
 

@@ -15,14 +15,6 @@ std::uint64_t port_key(RouterId r, PortId p) {
   return (static_cast<std::uint64_t>(r.value()) << 32) | p.value();
 }
 
-/// Sorted copies for order-insensitive differential comparison: the full
-/// lint pass orders issues by daemon while the incremental merge orders by
-/// destination, so equality is on multisets of rendered strings.
-std::vector<std::string> sorted(std::vector<std::string> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 }  // namespace
 
 const char* to_string(VerifyMode m) {
@@ -219,8 +211,8 @@ Engine::FullVerdict Engine::run_full_provers() const {
     for (const auto& v : vc.violations) out.valleys.push_back(v.to_string());
   }
   if (cfg_.lint) {
-    for (const auto& issue :
-         verify::lint_deployment(net, *g_, em_->daemons, owners_)) {
+    for (const auto& issue : verify::lint_deployment(
+             net, *route_ctl_.delta().graph(), em_->daemons, owners_)) {
       out.lints.push_back(issue.to_string());
     }
   }
@@ -270,8 +262,8 @@ bool Engine::snapshot(Report& report, SimTime t) {
     last_cost_.states_explored = full.states_explored;
   } else {
     changes_.drain(change_log_);
-    const verify::IncrementalResult inc =
-        inc_.check(net, *g_, em_->daemons, owners_, changes_);
+    const verify::IncrementalResult inc = inc_.check(
+        net, *route_ctl_.delta().graph(), em_->daemons, owners_, changes_);
     changes_.clear();
     report.last_stats = inc.loop.stats;
     clean = inc.loop.loop_free && inc.valley.valley_free && inc.lint.empty();
@@ -291,15 +283,14 @@ bool Engine::snapshot(Report& report, SimTime t) {
     report.total_cache_hits += inc.stats.cache_hits;
 
     if (cfg_.verify_mode == VerifyMode::Differential) {
-      // Oracle pass: the untouched full provers on the same state. The
-      // incremental result must be verdict- and counterexample-identical
-      // (lints compare as multisets — the full pass orders by daemon, the
-      // incremental merge by destination).
+      // Oracle pass: the untouched full provers on the same state. Both
+      // sides are destination-ascending, so the incremental result must be
+      // verdict-, counterexample- and lint-identical as sequences.
       const FullVerdict full = run_full_provers();
       const bool match = full.loop_free == inc.loop.loop_free &&
-                         sorted(full.cycles) == sorted(inc_cycles) &&
-                         sorted(full.valleys) == sorted(inc_valleys) &&
-                         sorted(full.lints) == sorted(inc_lints);
+                         full.cycles == inc_cycles &&
+                         full.valleys == inc_valleys &&
+                         full.lints == inc_lints;
       if (!match) {
         ++report.differential_mismatches;
         report.violations.push_back(Violation{
@@ -575,9 +566,10 @@ bool Engine::plant_stale_route(std::string& detail) {
   // Negative control for the route differential oracle — the routing-plane
   // sibling of plant_valley: withdraw a live origin but make the delta
   // table skip that destination's republish, leaving a stale CSR segment.
-  // The speakers and FIBs reconverge honestly, so the loop/valley/lint
-  // provers stay clean; only the Differential snapshot's from-scratch
-  // Gao-Rexford rebuild can expose the divergence.
+  // The FIBs are reprogrammed from that stale segment, so they stay
+  // consistent and the loop/valley/lint provers stay clean; only the
+  // Differential snapshot's from-scratch Gao-Rexford rebuild can expose
+  // the divergence.
   if (cfg_.verify_mode != VerifyMode::Differential) {
     detail = "requires differential verify mode";
     return false;
@@ -609,18 +601,6 @@ void Engine::note_route_delta(Report& report, Span& sp) {
   report.total_route_recomputed += st.recomputed;
   report.total_route_patched += st.patched;
   report.total_route_unchanged += st.unchanged;
-  if (cfg_.verify_mode != VerifyMode::Full) {
-    // The touched set (recomputed + view-patched) doubles as the verifier's
-    // routing dirty set: every destination whose published segment the
-    // delta engine swapped is re-proved at the next snapshot, even when its
-    // FIB rows happened not to move (the RoutingChange -> pfx row of the
-    // ChangeSet mapping).
-    for (const AsId dest : st.touched_dests) {
-      for (const auto& [addr, as] : owners_) {
-        if (as == dest) changes_.note_routing(addr);
-      }
-    }
-  }
 }
 
 std::pair<bool, std::string> Engine::apply(const Event& ev) {

@@ -198,8 +198,10 @@ class Engine {
   void start_burst(const Event& ev, std::string& detail);
   bool plant_valley(std::string& detail);
   bool plant_stale_route(std::string& detail);
-  /// Feeds the latest delta-recompute set into the verification dirty set
-  /// and the running report totals; fills the span's route columns.
+  /// Adds the latest delta event's recompute/patch counts to the running
+  /// report totals and fills the span's route columns. The verifier's
+  /// dirty set needs nothing from here: every FIB or daemon write the
+  /// event caused is already in the ChangeLog.
   void note_route_delta(Report& report, Span& sp);
 
   /// Verification snapshot at the current time; updates report/metrics.

@@ -1,129 +1,71 @@
 #include "chaos/route_control.hpp"
 
-#include <algorithm>
+#include <optional>
+#include <vector>
 
-#include "common/contracts.hpp"
+#include "testbed/wiring.hpp"
 
 namespace mifo::chaos {
 
+namespace {
+
+std::vector<AsId> host_ases(const testbed::Emulation& em) {
+  std::vector<AsId> dests;
+  for (const auto& att : em.hosts) dests.push_back(att.as);
+  return dests;
+}
+
+}  // namespace
+
 RouteController::RouteController(testbed::Emulation& em,
                                  const topo::AsGraph& g)
-    : em_(&em), g_(&g) {
-  sessions_ = std::make_unique<bgpd::SessionNetwork>(g);
-  std::vector<AsId> dests;
-  for (const auto& att : em.hosts) {
-    sessions_->originate(att.as);
-    dests.push_back(att.as);
-  }
-  messages_ += sessions_->run_to_convergence();
-  delta_ = std::make_unique<bgp::DeltaRoutingTable>(g, std::move(dests));
-}
+    : em_(&em),
+      g_(&g),
+      delta_(std::make_unique<bgp::DeltaRoutingTable>(g, host_ases(em))) {}
 
-void RouteController::apply_delta(const bgp::RouteEvent& ev) {
+bool RouteController::apply(const bgp::RouteEvent& ev) {
   last_delta_ = delta_->apply(ev);
-  if (last_delta_.applied) {
-    ++delta_events_;
-    delta_recomputed_ += last_delta_.recomputed;
-    delta_patched_ += last_delta_.patched;
-    delta_unchanged_ += last_delta_.unchanged;
+  if (!last_delta_.applied) return false;
+  ++delta_events_;
+  delta_recomputed_ += last_delta_.recomputed;
+  delta_patched_ += last_delta_.patched;
+  delta_unchanged_ += last_delta_.unchanged;
+  for (const AsId dest : last_delta_.touched_dests) reprogram(dest);
+  return true;
+}
+
+void RouteController::reprogram(AsId dest) {
+  dp::Network& net = *em_->net;
+  const auto seg = delta_->segment(dest);
+  for (const auto& att : em_->hosts) {
+    if (att.as != dest) continue;
+    testbed::program_prefix(
+        net, *g_, em_->wirings, att, seg->store,
+        [&](AsId as, std::optional<core::PrefixRoutes> pr) {
+          core::MifoDaemon& daemon = *em_->daemons[as.value()];
+          if (pr) {
+            daemon.update_prefix(net, std::move(*pr));
+          } else {
+            daemon.remove_prefix(net, att.addr);
+          }
+        });
   }
-}
-
-bool RouteController::session_down(AsId a, AsId b) {
-  apply_delta(bgp::RouteEvent::session_down(a, b));
-  return last_delta_.applied;
-}
-
-bool RouteController::session_up(AsId a, AsId b) {
-  apply_delta(bgp::RouteEvent::session_up(a, b));
-  return last_delta_.applied;
-}
-
-bool RouteController::withdrawn(AsId owner) const {
-  return std::find(withdrawn_.begin(), withdrawn_.end(), owner) !=
-         withdrawn_.end();
 }
 
 bool RouteController::withdraw(AsId owner) {
-  if (withdrawn(owner)) return false;
-  bool owns = false;
-  for (const auto& att : em_->hosts) owns = owns || att.as == owner;
-  if (!owns) return false;
-
-  sessions_->withdraw(owner);
-  messages_ += sessions_->run_to_convergence();
-  apply_delta(bgp::RouteEvent::withdraw(owner));
-  withdrawn_.push_back(owner);
-  for (const auto& att : em_->hosts) {
-    if (att.as == owner) evict_prefix(att);
-  }
-  return true;
+  return apply(bgp::RouteEvent::withdraw(owner));
 }
 
 bool RouteController::reannounce(AsId owner) {
-  const auto it = std::find(withdrawn_.begin(), withdrawn_.end(), owner);
-  if (it == withdrawn_.end()) return false;
-
-  sessions_->originate(owner);
-  messages_ += sessions_->run_to_convergence();
-  apply_delta(bgp::RouteEvent::reannounce(owner));
-  withdrawn_.erase(it);
-  for (const auto& att : em_->hosts) {
-    if (att.as == owner) install_prefix(att);
-  }
-  return true;
+  return apply(bgp::RouteEvent::reannounce(owner));
 }
 
-void RouteController::evict_prefix(const testbed::HostAttachment& att) {
-  // Remote ASes lose the route entirely: default out_port and (via
-  // Fib::remove) any daemon-programmed alt_port riding on the entry go
-  // together — a withdrawn prefix must not keep attracting deflections.
-  // The owner's own routers keep local delivery: the host did not move.
-  dp::Network& net = *em_->net;
-  for (const auto& wiring : em_->wirings) {
-    if (wiring.as == att.as) continue;
-    em_->daemons[wiring.as.value()]->remove_prefix(net, att.addr);
-    for (const RouterId r : wiring.routers) {
-      net.router(r).fib().remove(att.addr);
-    }
-  }
+bool RouteController::session_down(AsId a, AsId b) {
+  return apply(bgp::RouteEvent::session_down(a, b));
 }
 
-void RouteController::install_prefix(const testbed::HostAttachment& att) {
-  // Mirror of EmulationBuilder::finalize's install pass, but fed from the
-  // live speakers' converged RIBs instead of a fresh compute_routes — the
-  // state a withdrawal/re-announcement sequence actually leaves behind.
-  dp::Network& net = *em_->net;
-  const bgp::IbgpPlan& plan = *em_->plan;
-  for (const auto& wiring : em_->wirings) {
-    const AsId as = wiring.as;
-    if (as == att.as) continue;
-    const bgpd::Speaker& sp = sessions_->speaker(as);
-    const bgp::Route best = sp.best(att.as);
-    if (!best.valid()) continue;  // still unreachable from here
-    const RouterId egress_router = plan.border_towards(as, best.next_hop);
-    const auto* eg = wiring.egress_to(best.next_hop);
-    MIFO_ASSERT(eg != nullptr);
-    for (const RouterId r : wiring.routers) {
-      if (r == egress_router) {
-        net.router(r).fib().set_route(att.addr, eg->port);
-      } else {
-        const PortId via = wiring.intra_port(r, egress_router);
-        MIFO_ASSERT(via.valid());
-        net.router(r).fib().set_route(att.addr, via);
-      }
-    }
-    core::PrefixRoutes pr;
-    pr.prefix = att.addr;
-    pr.default_neighbor = best.next_hop;
-    for (const auto& rib : sp.rib_in(att.as)) {
-      if (rib.neighbor == best.next_hop) continue;
-      if (rib.cls == bgp::RouteClass::None) continue;
-      pr.alternatives.push_back(rib.neighbor);
-    }
-    std::sort(pr.alternatives.begin(), pr.alternatives.end());
-    em_->daemons[as.value()]->update_prefix(net, std::move(pr));
-  }
+bool RouteController::session_up(AsId a, AsId b) {
+  return apply(bgp::RouteEvent::session_up(a, b));
 }
 
 }  // namespace mifo::chaos

@@ -122,17 +122,19 @@ void MifoDaemon::clear_alt(dp::Network& net, dp::Addr prefix) {
 }
 
 void MifoDaemon::update_prefix(dp::Network& net, PrefixRoutes pr) {
+  const auto existing = std::find_if(
+      prefixes_.begin(), prefixes_.end(),
+      [&pr](const PrefixRoutes& p) { return p.prefix == pr.prefix; });
+  if (existing != prefixes_.end() && *existing == pr) return;
   if (auto* log = net.change_log()) log->note_daemon(wiring_.as, pr.prefix);
   clear_alt(net, pr.prefix);
   std::erase_if(elected_,
                 [&pr](const auto& e) { return e.first == pr.prefix; });
-  for (auto& existing : prefixes_) {
-    if (existing.prefix == pr.prefix) {
-      existing = std::move(pr);
-      return;
-    }
+  if (existing != prefixes_.end()) {
+    *existing = std::move(pr);
+  } else {
+    prefixes_.push_back(std::move(pr));
   }
-  prefixes_.push_back(std::move(pr));
 }
 
 void MifoDaemon::remove_prefix(dp::Network& net, dp::Addr prefix) {

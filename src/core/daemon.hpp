@@ -51,6 +51,8 @@ struct PrefixRoutes {
   dp::Addr prefix = dp::kInvalidAddr;
   AsId default_neighbor = AsId::invalid();  ///< invalid => local delivery
   std::vector<AsId> alternatives;           ///< RIB neighbors != default
+
+  bool operator==(const PrefixRoutes&) const = default;
 };
 
 class MifoDaemon {
@@ -77,6 +79,8 @@ class MifoDaemon {
   /// Replace (or add) the RIB knowledge for one prefix, e.g. after a BGP
   /// re-announcement changed the default or the alternative set. Any alt
   /// programmed from the old knowledge is cleared; the next tick re-elects.
+  /// Knowledge equal to what the daemon already holds changes nothing: the
+  /// elected alt stays and no ChangeLog record is written.
   void update_prefix(dp::Network& net, PrefixRoutes pr);
 
   /// Drop all knowledge of a withdrawn prefix and clear the alt ports it had

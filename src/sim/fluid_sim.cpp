@@ -42,7 +42,6 @@ void FluidSim::attach_registry(obs::Registry& reg, const std::string& labels) {
   m_solver_runs_ = reg.counter("sim.solver_runs", labels);
   m_reroutes_ = reg.counter("sim.reroutes", labels);
   m_cache_bytes_ = reg.gauge("sim.route_cache_bytes", labels);
-  m_route_invalidations_ = reg.counter("sim.route_invalidations", labels);
   m_active_flows_ = reg.gauge("sim.active_flows", labels);
   m_offered_load_ = reg.gauge("sim.offered_load_mbps", labels);
   m_solver_components_ = reg.counter("sim.solver_components", labels);
@@ -65,22 +64,6 @@ const bgp::RouteStore& FluidSim::routes_for(AsId dest) {
     if (shard_) shard_->set(m_cache_bytes_, static_cast<double>(cache_bytes_));
   }
   return *it->second;
-}
-
-std::size_t FluidSim::invalidate_routes(std::span<const AsId> dests) {
-  std::size_t dropped = 0;
-  for (const AsId dest : dests) {
-    const auto it = cache_.find(dest.value());
-    if (it == cache_.end()) continue;
-    cache_bytes_ -= it->second->bytes();
-    cache_.erase(it);
-    ++dropped;
-  }
-  if (dropped != 0 && shard_) {
-    shard_->set(m_cache_bytes_, static_cast<double>(cache_bytes_));
-    shard_->add(m_route_invalidations_, static_cast<double>(dropped));
-  }
-  return dropped;
 }
 
 void FluidSim::warm_route_cache(std::span<const traffic::FlowSpec> specs) {

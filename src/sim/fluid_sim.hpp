@@ -141,14 +141,6 @@ class FluidSim {
   /// Converged routes towards `dest` (cached CSR store; exposed for tests).
   [[nodiscard]] const bgp::RouteStore& routes_for(AsId dest);
 
-  /// Evicts the cached route stores of `dests` (misses are ignored), so a
-  /// routing event's delta touched set (bgp::DeltaStats::touched_dests)
-  /// maps one-to-one onto cache invalidations: the next routes_for /
-  /// warm_route_cache of an evicted destination rebuilds from the current
-  /// graph instead of serving the pre-event tree. Returns how many entries
-  /// were actually dropped.
-  std::size_t invalidate_routes(std::span<const AsId> dests);
-
   // --- observability ---------------------------------------------------------
   /// Attach a metrics registry; solver counters (sim.arrivals, sim.ticks,
   /// sim.solver_runs, …) accumulate into a private shard tagged with
@@ -221,7 +213,6 @@ class FluidSim {
   obs::MetricId m_solver_runs_ = 0;
   obs::MetricId m_reroutes_ = 0;
   obs::MetricId m_cache_bytes_ = 0;
-  obs::MetricId m_route_invalidations_ = 0;
   // Streaming-run metrics (gauges track the latest epoch edge; counters
   // accumulate IncrementalMaxMin work).
   obs::MetricId m_active_flows_ = 0;

@@ -1,5 +1,6 @@
 // Network-wiring template shared by the serial and the sharded emulation
-// builders (emulation.cpp / sharded_emulation.cpp).
+// builders (emulation.cpp / sharded_emulation.cpp), and the per-prefix
+// FIB/daemon programming the live route controller reuses.
 //
 // `NetT` is dp::Network or dp::ShardedNetwork — both expose the same
 // construction surface (add_router/connect_ebgp/connect_ibgp/add_host/
@@ -9,6 +10,8 @@
 // can only come from the engines.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +23,51 @@
 #include "topo/as_graph.hpp"
 
 namespace mifo::testbed {
+
+/// Programs one host prefix into every AS but its owner from `routes`, the
+/// converged routes towards the owner: each router's FIB default leads to
+/// the border router facing the AS's best next hop, and
+/// `on_routes(as, pr)` receives the AS's PrefixRoutes — the default
+/// neighbor plus every other neighbor with a RIB row, in `g.neighbors`
+/// order. An AS without a best route loses the FIB entries and receives
+/// std::nullopt. The builder's install pass and chaos::RouteController's
+/// reprogramming both run through here, so the FIBs and daemons always hold
+/// exactly the routes they were programmed from. The owner's local delivery
+/// never moves and is left alone.
+template <typename NetT, typename OnRoutes>
+void program_prefix(NetT& net, const topo::AsGraph& g,
+                    std::span<const core::AsWiring> wirings,
+                    const HostAttachment& att, const bgp::RouteStore& routes,
+                    OnRoutes&& on_routes) {
+  for (std::size_t x = 0; x < g.num_ases(); ++x) {
+    const AsId as(static_cast<std::uint32_t>(x));
+    if (as == att.as) continue;
+    const core::AsWiring& w = wirings[x];
+    const bgp::Route& best = routes.best(as);
+    if (!best.valid()) {
+      for (const RouterId r : w.routers) net.router(r).fib().remove(att.addr);
+      on_routes(as, std::optional<core::PrefixRoutes>{});
+      continue;
+    }
+    const auto* eg = w.egress_to(best.next_hop);
+    MIFO_ASSERT(eg != nullptr);
+    for (const RouterId r : w.routers) {
+      const PortId via =
+          r == eg->router ? eg->port : w.intra_port(r, eg->router);
+      MIFO_ASSERT(via.valid());
+      net.router(r).fib().set_route(att.addr, via);
+    }
+    core::PrefixRoutes pr;
+    pr.prefix = att.addr;
+    pr.default_neighbor = best.next_hop;
+    for (const auto& nb : g.neighbors(as)) {
+      if (nb.as != best.next_hop && routes.rib_from(as, nb.as)) {
+        pr.alternatives.push_back(nb.as);
+      }
+    }
+    on_routes(as, std::optional<core::PrefixRoutes>(std::move(pr)));
+  }
+}
 
 /// Wires routers, eBGP/iBGP links and hosts into `net` per the IbgpPlan and
 /// programs BGP-derived FIBs for every pending host. Fills `wirings`,
@@ -92,51 +140,21 @@ void wire_network(NetT& net, const topo::AsGraph& g, const bgp::IbgpPlan& plan,
   // FIBs + per-AS prefix knowledge, one destination prefix per host.
   prefix_routes.assign(g.num_ases(), {});
   for (const auto& att : hosts) {
-    const bgp::RouteStore routes(g, att.as);
-    for (std::size_t x = 0; x < g.num_ases(); ++x) {
-      const AsId as(static_cast<std::uint32_t>(x));
-      const auto& routers = plan.routers_of(as);
-      if (as == att.as) {
-        // Local delivery: towards the attachment router, then the host port.
-        for (const RouterId r : routers) {
-          if (r == att.router) {
-            net.router(r).fib().set_route(att.addr,
-                                          host_port.at(att.host.value()));
-          } else {
-            const PortId via = wirings[x].intra_port(r, att.router);
-            MIFO_ASSERT(via.valid());
-            net.router(r).fib().set_route(att.addr, via);
-          }
-        }
-        prefix_routes[x].push_back(
-            core::PrefixRoutes{att.addr, AsId::invalid(), {}});
-        continue;
-      }
-      const bgp::Route& best = routes.best(as);
-      if (!best.valid()) continue;  // unreachable: no FIB entry
-      const RouterId egress = plan.border_towards(as, best.next_hop);
-      const auto* eg = wirings[x].egress_to(best.next_hop);
-      MIFO_ASSERT(eg != nullptr);
-      for (const RouterId r : routers) {
-        if (r == egress) {
-          net.router(r).fib().set_route(att.addr, eg->port);
-        } else {
-          const PortId via = wirings[x].intra_port(r, egress);
-          MIFO_ASSERT(via.valid());
-          net.router(r).fib().set_route(att.addr, via);
-        }
-      }
-      core::PrefixRoutes pr;
-      pr.prefix = att.addr;
-      pr.default_neighbor = best.next_hop;
-      for (const auto& nb : g.neighbors(as)) {
-        if (nb.as == best.next_hop) continue;
-        if (routes.rib_from(as, nb.as)) {
-          pr.alternatives.push_back(nb.as);
-        }
-      }
-      prefix_routes[x].push_back(std::move(pr));
+    // Local delivery: towards the attachment router, then the host port.
+    const core::AsWiring& owner = wirings[att.as.value()];
+    for (const RouterId r : owner.routers) {
+      const PortId via = r == att.router ? host_port.at(att.host.value())
+                                         : owner.intra_port(r, att.router);
+      MIFO_ASSERT(via.valid());
+      net.router(r).fib().set_route(att.addr, via);
     }
+    prefix_routes[att.as.value()].push_back(
+        core::PrefixRoutes{att.addr, AsId::invalid(), {}});
+    program_prefix(
+        net, g, wirings, att, bgp::RouteStore(g, att.as),
+        [&](AsId as, std::optional<core::PrefixRoutes> pr) {
+          if (pr) prefix_routes[as.value()].push_back(std::move(*pr));
+        });
   }
 }
 

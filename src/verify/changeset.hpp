@@ -21,10 +21,11 @@
 //   PortChange(r, p)       -> nothing for loop/valley/lint proofs; every dst
 //                             in r's FIB for the blackhole analysis, the one
 //                             property that deliberately reads Port::up.
-//   RoutingChange(pfx)     -> pfx. Fed straight from the delta route
-//                             engine's recompute set (bgp::DeltaStats):
-//                             a destination whose route segment was swapped
-//                             is dirty even before any FIB write lands.
+//   RoutingChange(pfx)     -> pfx. For callers that want a destination
+//                             re-proved on a routing event alone; the
+//                             chaos engine needs none, since its route
+//                             controller's FIB and daemon writes are
+//                             already logged.
 //
 // A ChangeSet accumulates drained dp::ChangeLog records between quiescent
 // points and resolves them against the current router snapshot on demand.

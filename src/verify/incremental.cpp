@@ -69,7 +69,7 @@ IncrementalResult IncrementalVerifier::check(
           result.stats.edges_explored += vc.stats.edges;
         }
         if (cfg_.lint) {
-          proof.lints = lint_deployment(net, g, daemons, owners, one);
+          proof.lints = lint_destination(net, g, daemons, owners, dst);
         }
       }
       if (reach_dirty) {

@@ -62,8 +62,7 @@ struct IncrementalResult {
   /// computed); the cost of THIS round is in `stats`.
   LoopCheck loop;
   ValleyCheck valley;
-  std::vector<LintIssue> lint;  ///< destination-ascending (full run orders
-                                ///< by daemon; compare as multisets)
+  std::vector<LintIssue> lint;  ///< destination-ascending, like the full run
   ReachabilityCheck reach;
   IncrementalStats stats;
 };

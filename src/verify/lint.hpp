@@ -48,25 +48,24 @@ struct LintIssue {
 /// Pure-topology lints (relationship asymmetry).
 [[nodiscard]] std::vector<LintIssue> lint_topology(const topo::AsGraph& g);
 
-/// Deployment lints over live router FIBs and daemon RIB state.
-/// `prefix_owners` maps each destination prefix to the AS originating it
-/// (the testbed's host attachments); prefixes absent from the map only get
-/// the RIB-independent checks.
+/// Deployment lints of one destination prefix over live router FIBs and
+/// daemon RIB state: `Fib::lookup(dst)` on every router and the daemons'
+/// knowledge of that prefix. `prefix_owners` maps each destination prefix
+/// to the AS originating it (the testbed's host attachments); a prefix
+/// absent from the map only gets the RIB-independent checks. `g` is the
+/// graph the daemons' routes were computed on. Every deployment lint names
+/// the destination it concerns, so the incremental verifier re-lints dirty
+/// destinations with this function alone.
+[[nodiscard]] std::vector<LintIssue> lint_destination(
+    const dp::Network& net, const topo::AsGraph& g,
+    std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
+    std::span<const std::pair<dp::Addr, AsId>> prefix_owners, dp::Addr dst);
+
+/// Deployment lints of every destination: lint_destination over
+/// fib_destinations(net) in ascending order, concatenated.
 [[nodiscard]] std::vector<LintIssue> lint_deployment(
     const dp::Network& net, const topo::AsGraph& g,
     std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
     std::span<const std::pair<dp::Addr, AsId>> prefix_owners);
-
-/// Destination-filtered deployment lints: only issues whose `dst` is in
-/// `dests` (which must be sorted ascending) are produced. Every deployment
-/// lint names the destination it concerns, so issues partition exactly by
-/// destination — the incremental verifier re-lints dirty destinations with
-/// this overload and the union over all destinations equals the full run
-/// (element-identical; see the differential property tests).
-[[nodiscard]] std::vector<LintIssue> lint_deployment(
-    const dp::Network& net, const topo::AsGraph& g,
-    std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
-    std::span<const std::pair<dp::Addr, AsId>> prefix_owners,
-    std::span<const dp::Addr> dests);
 
 }  // namespace mifo::verify

@@ -1,13 +1,19 @@
-// RouteController tests — BGP withdrawal/re-announcement propagated into a
-// live emulation: withdrawing an origin must empty the remote speakers'
-// RIBs and tear both the default route and any daemon-programmed alt_port
-// out of every remote FIB; re-announcing must restore end-to-end
-// reachability. The alt-missing-from-rib lint is the tripwire: if eviction
-// ever skips the alt, the lint must fire.
+// RouteController tests — BGP withdrawal/re-announcement and session churn
+// propagated into a live emulation: withdrawing an origin must empty every
+// AS's routes in the delta table and tear both the default route and any
+// daemon-programmed alt_port out of every remote FIB; re-announcing must
+// restore end-to-end reachability; a session going down must move every
+// FIB off the dead port, and the FIBs must always match the delta table's
+// segment. The alt-missing-from-rib lint is the tripwire: if eviction ever
+// skips the alt, the lint must fire.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "chaos/route_control.hpp"
+#include "core/daemon.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/generator.hpp"
 #include "verify/lint.hpp"
@@ -43,6 +49,45 @@ struct Fixture {
     return f;
   }
 
+  /// Every AS but the owner forwards `att`'s prefix exactly as the delta
+  /// table's current segment says: towards the border router facing its
+  /// best next hop, or not at all when it has no route; its daemon holds
+  /// the same default neighbor.
+  void expect_fibs_match_segment(const RouteController& ctl,
+                                 const testbed::HostAttachment& att) const {
+    const auto seg = ctl.delta().segment(att.as);
+    ASSERT_NE(seg, nullptr);
+    for (std::uint32_t x = 0; x < g.num_ases(); ++x) {
+      const AsId as(x);
+      if (as == att.as) continue;
+      const bgp::Route& best = seg->store.best(as);
+      const core::AsWiring& w = em.wirings[x];
+      const auto prefixes = em.daemons[x]->prefixes();
+      const auto pr = std::find_if(
+          prefixes.begin(), prefixes.end(),
+          [&](const core::PrefixRoutes& p) { return p.prefix == att.addr; });
+      if (!best.valid()) {
+        EXPECT_EQ(pr, prefixes.end()) << "AS" << x;
+        for (const RouterId r : w.routers) {
+          EXPECT_FALSE(em.net->router(r).fib().contains(att.addr))
+              << "AS" << x << " r" << r.value();
+        }
+        continue;
+      }
+      ASSERT_NE(pr, prefixes.end()) << "AS" << x;
+      EXPECT_EQ(pr->default_neighbor, best.next_hop) << "AS" << x;
+      const auto* eg = w.egress_to(best.next_hop);
+      ASSERT_NE(eg, nullptr);
+      for (const RouterId r : w.routers) {
+        const auto fe = em.net->router(r).fib().lookup(att.addr);
+        ASSERT_TRUE(fe.has_value()) << "AS" << x << " r" << r.value();
+        EXPECT_EQ(fe->out_port,
+                  r == eg->router ? eg->port : w.intra_port(r, eg->router))
+            << "AS" << x << " r" << r.value();
+      }
+    }
+  }
+
   [[nodiscard]] std::size_t routers_with_route(dp::Addr dst) const {
     std::size_t n = 0;
     for (std::uint32_t r = 0; r < em.net->num_routers(); ++r) {
@@ -57,11 +102,11 @@ TEST(RouteControl, WithdrawEvictsRibAndFib) {
   RouteController ctl(f.em, f.g);
   const auto& victim = f.em.hosts[0];
 
-  // Converged baseline: every router routes the prefix, every remote
-  // speaker holds a best path to the origin.
+  // Converged baseline: every router routes the prefix, every AS holds a
+  // best path to the origin.
   EXPECT_EQ(f.routers_with_route(victim.addr), f.em.net->num_routers());
   for (std::uint32_t as = 0; as < f.g.num_ases(); ++as) {
-    EXPECT_TRUE(ctl.sessions().speaker(AsId(as)).best(victim.as).valid())
+    EXPECT_TRUE(ctl.delta().segment(victim.as)->store.best(AsId(as)).valid())
         << "AS" << as;
   }
 
@@ -72,7 +117,7 @@ TEST(RouteControl, WithdrawEvictsRibAndFib) {
   // withdrawal); only the origin router keeps local host delivery. The
   // other prefixes are untouched.
   for (std::uint32_t as = 0; as < f.g.num_ases(); ++as) {
-    EXPECT_FALSE(ctl.sessions().speaker(AsId(as)).best(victim.as).valid())
+    EXPECT_FALSE(ctl.delta().segment(victim.as)->store.best(AsId(as)).valid())
         << "AS" << as;
   }
   EXPECT_EQ(f.routers_with_route(victim.addr), 1u);
@@ -111,7 +156,8 @@ TEST(RouteControl, ReannounceRestoresReachability) {
   f.em.net->start_flow(fp);
   f.em.net->run_to_completion(30.0);
   EXPECT_TRUE(f.em.net->flows()[0].done);
-  EXPECT_GT(ctl.messages_processed(), 0u);
+  EXPECT_EQ(ctl.delta_events(), 2u);
+  f.expect_fibs_match_segment(ctl, victim);
 }
 
 TEST(RouteControl, WithdrawEvictsDaemonProgrammedAlt) {
@@ -198,12 +244,12 @@ TEST(RouteControl, DeltaMirrorTracksWithdrawalsAndSessions) {
   RouteController ctl(f.em, f.g);
   const auto& victim = f.em.hosts[0];
 
-  // The mirror starts converged: every host prefix tracked, no mismatches.
+  // The delta table starts converged: every host prefix tracked, no mismatches.
   EXPECT_TRUE(ctl.delta().tracks(victim.as));
   EXPECT_TRUE(ctl.delta().differential_check().empty());
   EXPECT_EQ(ctl.delta_events(), 0u);
 
-  // Withdraw: exactly one destination recomputed, the mirror agrees with
+  // Withdraw: exactly one destination recomputed, the table agrees with
   // a from-scratch rebuild, and the published segment is empty.
   ASSERT_TRUE(ctl.withdraw(victim.as));
   EXPECT_EQ(ctl.delta_events(), 1u);
@@ -218,7 +264,7 @@ TEST(RouteControl, DeltaMirrorTracksWithdrawalsAndSessions) {
   EXPECT_FALSE(ctl.delta().withdrawn(victim.as));
   EXPECT_GT(ctl.delta().segment(victim.as)->store.num_reachable(), 0u);
 
-  // Session flap: the mirror masks the edge, stays oracle-identical, and
+  // Session flap: the table masks the edge, stays oracle-identical, and
   // the recomputed set is a strict subset of the tracked universe unless
   // every tracked destination actually held a row across the edge.
   const AsId a = victim.as;
@@ -241,6 +287,101 @@ TEST(RouteControl, DeltaMirrorTracksWithdrawalsAndSessions) {
   ASSERT_TRUE(ctl.session_down(a, b));
   EXPECT_FALSE(ctl.session_down(b, a));
   ASSERT_TRUE(ctl.session_up(b, a));
+}
+
+/// The first hop (x, y) on `src`'s best path towards `dest` at which x
+/// keeps another route should the session x–y go down; invalid pair when
+/// none exists.
+std::pair<AsId, AsId> reroutable_hop(const bgp::RouteStore& routes, AsId src,
+                                     AsId dest) {
+  for (AsId x = src; x != dest && routes.best(x).valid();
+       x = routes.best(x).next_hop) {
+    if (routes.rib(x).size() >= 2) return {x, routes.best(x).next_hop};
+  }
+  return {AsId::invalid(), AsId::invalid()};
+}
+
+TEST(RouteControl, SessionDownMovesFibsOffTheDeadPort) {
+  for (const std::uint64_t seed : {7u, 9u, 11u, 13u, 17u}) {
+    auto f = Fixture::make(seed, /*mifo=*/false);
+    RouteController ctl(f.em, f.g);
+    // A host pair whose default path crosses a session its near end can
+    // route around.
+    const testbed::HostAttachment* src = nullptr;
+    const testbed::HostAttachment* dst = nullptr;
+    std::pair<AsId, AsId> hop{AsId::invalid(), AsId::invalid()};
+    for (const auto& s : f.em.hosts) {
+      for (const auto& d : f.em.hosts) {
+        if (src != nullptr || s.as == d.as) continue;
+        hop = reroutable_hop(ctl.delta().segment(d.as)->store, s.as, d.as);
+        if (hop.first.valid()) {
+          src = &s;
+          dst = &d;
+        }
+      }
+    }
+    if (src == nullptr) continue;
+    const auto [a, b] = hop;
+
+    dp::Network& net = *f.em.net;
+    ASSERT_TRUE(ctl.session_down(a, b));
+    const auto* eg_ab = f.em.wirings[a.value()].egress_to(b);
+    const auto* eg_ba = f.em.wirings[b.value()].egress_to(a);
+    ASSERT_TRUE(eg_ab != nullptr && eg_ba != nullptr);
+    net.set_port_up(eg_ab->router, eg_ab->port, false);
+    net.set_port_up(eg_ba->router, eg_ba->port, false);
+
+    // No router of either end forwards a tracked prefix out of the dead
+    // egress: where the segment keeps a route it leads elsewhere, where it
+    // keeps none the entry is gone.
+    for (const auto* eg : {eg_ab, eg_ba}) {
+      const dp::Router& r = net.router(eg->router);
+      for (const auto& att : f.em.hosts) {
+        if (att.as == r.as()) continue;
+        const auto fe = r.fib().lookup(att.addr);
+        const bool routed =
+            ctl.delta().segment(att.as)->store.best(r.as()).valid();
+        EXPECT_EQ(fe.has_value(), routed) << "AS" << r.as().value();
+        if (fe) {
+          EXPECT_NE(fe->out_port, eg->port) << "AS" << r.as().value();
+        }
+      }
+    }
+    for (const auto& att : f.em.hosts) f.expect_fibs_match_segment(ctl, att);
+
+    // End-to-end: the flow whose default crossed the dead link completes.
+    ASSERT_TRUE(ctl.delta().segment(dst->as)->store.best(src->as).valid());
+    dp::FlowParams fp;
+    fp.src = src->host;
+    fp.dst = dst->host;
+    fp.size = 200 * 1000;
+    net.start_flow(fp);
+    net.run_to_completion(30.0);
+    EXPECT_TRUE(net.flows()[0].done) << "seed " << seed;
+    return;
+  }
+  FAIL() << "no seed has a host pair whose default path can be rerouted";
+}
+
+TEST(RouteControl, ReannounceOverADownSessionMatchesTheMaskedSegment) {
+  auto f = Fixture::make(7, /*mifo=*/true);
+  f.em.net->run_until(0.03);
+  RouteController ctl(f.em, f.g);
+  const auto& victim = f.em.hosts[0];
+  // A session the victim's routes cross: the first hop of another host's
+  // default path towards it.
+  const AsId a = f.em.hosts[1].as;
+  const AsId b = ctl.delta().segment(victim.as)->store.best(a).next_hop;
+  ASSERT_TRUE(b.valid());
+
+  ASSERT_TRUE(ctl.withdraw(victim.as));
+  ASSERT_TRUE(ctl.session_down(a, b));
+  ASSERT_TRUE(ctl.reannounce(victim.as));
+
+  // The reinstalled routes avoid the dead session, at every AS.
+  EXPECT_NE(ctl.delta().segment(victim.as)->store.best(a).next_hop, b);
+  for (const auto& att : f.em.hosts) f.expect_fibs_match_segment(ctl, att);
+  EXPECT_TRUE(ctl.delta().differential_check().empty());
 }
 
 }  // namespace

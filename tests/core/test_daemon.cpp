@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dataplane/change_log.hpp"
+
 namespace mifo::core {
 namespace {
 
@@ -110,6 +112,29 @@ TEST_F(DaemonFixture, LocalPrefixNeverGetsAltPort) {
   MifoDaemon daemon(wiring, pr);
   daemon.tick(net, 0.0);
   EXPECT_FALSE(net.router(ra).fib().lookup(kPrefix)->alt_port.valid());
+}
+
+TEST_F(DaemonFixture, IdenticalUpdateKeepsTheAltAndLogsNothing) {
+  MifoDaemon daemon(wiring, prefixes());
+  daemon.tick(net, 0.0);
+  ASSERT_EQ(daemon.elected_alt(kPrefix), AsId(2));
+  dp::ChangeLog log;
+  net.attach_change_log(&log);
+
+  // The route controller hands over the same knowledge again: nothing
+  // moved, so the elected alt stays programmed and no record is written.
+  daemon.update_prefix(net, prefixes().front());
+  EXPECT_EQ(daemon.elected_alt(kPrefix), AsId(2));
+  EXPECT_EQ(net.router(rb).fib().lookup(kPrefix)->alt_port, e2);
+  EXPECT_TRUE(log.empty());
+
+  // Changed knowledge clears the alt and records the daemon change.
+  daemon.update_prefix(net, PrefixRoutes{kPrefix, AsId(1), {AsId(3)}});
+  EXPECT_FALSE(daemon.elected_alt(kPrefix).valid());
+  EXPECT_FALSE(net.router(rb).fib().lookup(kPrefix)->alt_port.valid());
+  ASSERT_EQ(log.daemons.size(), 1u);
+  EXPECT_EQ(log.daemons.front().prefix, kPrefix);
+  net.attach_change_log(nullptr);
 }
 
 TEST_F(DaemonFixture, TickRunsFlowReevaluation) {

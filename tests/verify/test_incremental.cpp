@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,11 +63,6 @@ std::vector<std::string> rendered(const auto& findings) {
   return out;
 }
 
-std::vector<std::string> sorted(std::vector<std::string> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 struct FullRun {
   verify::LoopCheck loop;
   verify::ValleyCheck valley;
@@ -81,11 +75,9 @@ FullRun full_run(const Deployment& d) {
           verify::lint_deployment(net, d.g, d.em.daemons, d.owners)};
 }
 
-// Element-identical, not just verdict-identical: cycles and valley
-// violations are at most one per destination and both sides merge
-// destination-ascending, so they compare as sequences; the full lint pass
-// orders daemon-major while the incremental merge is destination-ascending,
-// so lints compare as sorted multisets.
+// Element-identical, not just verdict-identical: cycles, valley violations
+// and lints are all produced per destination and both sides merge
+// destination-ascending, so everything compares as sequences.
 void expect_identical(const verify::IncrementalResult& inc, const FullRun& full,
                       const std::string& context) {
   EXPECT_EQ(inc.loop.loop_free, full.loop.loop_free) << context;
@@ -93,8 +85,7 @@ void expect_identical(const verify::IncrementalResult& inc, const FullRun& full,
   EXPECT_EQ(inc.valley.valley_free, full.valley.valley_free) << context;
   EXPECT_EQ(rendered(inc.valley.violations), rendered(full.valley.violations))
       << context;
-  EXPECT_EQ(sorted(rendered(inc.lint)), sorted(rendered(full.lints)))
-      << context;
+  EXPECT_EQ(rendered(inc.lint), rendered(full.lints)) << context;
 }
 
 TEST(Incremental, ColdPassProvesEverythingAndMatchesFull) {

@@ -312,7 +312,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> out;
     out.reserve(items.size());
     for (const auto& item : items) out.push_back(item.to_string());
-    std::sort(out.begin(), out.end());
     return out;
   };
 
@@ -326,9 +325,9 @@ int main(int argc, char** argv) {
                   warm.stats.dirty_destinations, warm.stats.destinations,
                   warm.stats.cache_hits, warm.stats.states_explored);
     }
-    // Differential oracle: the merged incremental result must be verdict-
-    // and counterexample-identical to a from-scratch full run (lints
-    // compare as multisets — the orders differ by design).
+    // Differential oracle: the merged incremental result must be verdict-,
+    // counterexample- and lint-identical to a from-scratch full run; both
+    // are destination-ascending, so they compare as sequences.
     const auto full_loop = verify::check_loop_freedom(net);
     const auto full_valley = verify::check_valley_freedom(net);
     const auto full_lint = verify::lint_deployment(net, g, em.daemons, owners);
