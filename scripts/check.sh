@@ -250,6 +250,29 @@ grep -q "dirty" "$artifact_dir/trace_render.first.txt"
 grep -q "cached" "$artifact_dir/trace_render.first.txt"
 echo "mifo-trace OK: timeline checked, rendering byte-reproducible"
 
+echo "=== CLI flags: bad numbers are usage errors ==="
+# Negative and non-numeric counts must exit with the usage code (1) and
+# print the usage text; a negative count must never wrap to ~2^64 and pass
+# the tools' lower-bound checks.
+expect_usage() {
+  local err status=0
+  err="$("$@" 2>&1 > /dev/null)" || status=$?
+  if [[ $status -ne 1 ]] || ! grep -q "usage:" <<< "$err"; then
+    echo "expected a usage error (exit 1) from: $* (exit $status)"
+    exit 1
+  fi
+}
+expect_usage "$build_dir"/tools/mifo-chaos --gen --ases -5 -q
+expect_usage "$build_dir"/tools/mifo-chaos --gen --flows abc -q
+expect_usage "$build_dir"/tools/mifo-chaos --gen --duration 1x -q
+expect_usage "$build_dir"/tools/mifo-verify --gen -5 -q
+expect_usage "$build_dir"/tools/mifo-verify --gen 60 --dests abc -q
+expect_usage "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
+  --flows -3
+expect_usage "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
+  --links abc
+echo "CLI flags OK: negative and non-numeric counts rejected"
+
 echo "=== sharded plane: sharded-vs-serial differential gate ==="
 # The scaling bench doubles as the full-scale differential: every worker
 # count must reproduce the serial oracle's outcome digest (per-flow

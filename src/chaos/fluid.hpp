@@ -17,7 +17,8 @@ namespace mifo::chaos {
 inline constexpr double kFluidDownFactor = 1e-3;
 
 /// Schedules the plan's link events on `fs` (both directed links of each
-/// adjacency). Returns how many plan events translated. Call before run().
+/// adjacency). Returns how many plan events translated. Call before run()
+/// or run_stream().
 std::size_t apply_to_fluid(const Plan& plan, const topo::AsGraph& g,
                            sim::FluidSim& fs);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <queue>
@@ -15,6 +16,272 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kRemEps = 1e-6;   // megabits (~0.1 byte)
 constexpr double kTimeEps = 1e-12;
+
+/// One admitted flow. The event loop fills the routing fields at admission
+/// and decides path moves; the engine owns the rate fields.
+struct Flow {
+  std::uint32_t record = 0;           ///< index into the run's records
+  std::vector<std::uint32_t> links;   ///< current path (directed links)
+  std::vector<std::uint32_t> deflt;   ///< default-path links
+  double remaining_mb = 0.0;          ///< megabits left (as of update_t)
+  SimTime update_t = 0.0;             ///< incremental: last settlement time
+  double rate = 0.0;
+  std::uint32_t gen = 0;              ///< incremental: completion-heap stamp
+  bool deflected = false;
+  bool live = false;
+};
+
+std::vector<std::uint32_t> link_ids(const core::WalkResult& w) {
+  std::vector<std::uint32_t> links;
+  links.reserve(w.links.size());
+  for (const LinkId l : w.links) links.push_back(l.value());
+  return links;
+}
+
+/// Sorts a pre-generated trace by arrival and replays it in that order.
+std::function<bool(traffic::FlowSpec&)> replay(
+    std::vector<traffic::FlowSpec>& specs) {
+  std::sort(specs.begin(), specs.end(),
+            [](const traffic::FlowSpec& a, const traffic::FlowSpec& b) {
+              return a.arrival < b.arrival;
+            });
+  return [&specs, next = std::size_t{0}](traffic::FlowSpec& out) mutable {
+    if (next >= specs.size()) return false;
+    out = specs[next++];
+    return true;
+  };
+}
+
+// The two rate engines. Both expose the same small interface to
+// FluidSim::event_loop (a template parameter, so no call is virtual):
+//   flows                     flow table the loop iterates (skip !live)
+//   active(), total_rate()    live flows and the sum of their rates
+//   next_completion(t)        earliest predicted completion
+//   advance(t, t_next)        moves the clock (and fluid) to t_next
+//   complete_due(done)        retires finished flows, done(flow) first
+//   add(flow)                 admits a routed flow
+//   set_path(i, links)        moves flow i; the loop then re-charges it at
+//                             its old rate and calls propagate()
+//   set_capacity(link, cap)   capacity_ already holds the new value
+//   end_instant(changed)      closes every event instant
+//   finish(res)               solver counters into the result
+// Mutations other than set_path propagate their rate changes themselves.
+
+/// run()'s arithmetic: fluid drains eagerly every step, a flow completes
+/// once remaining_mb <= kRemEps, completions swap-remove, and an instant at
+/// which anything changed ends in one whole-population max_min_rates solve
+/// (flows moved by a tick stay charged at their old rate until then).
+class BatchEngine {
+ public:
+  BatchEngine(std::vector<double>& alloc, const std::vector<double>& capacity,
+              Mbps flow_cap, const StreamConfig& /*sc*/)
+      : alloc_(alloc), capacity_(capacity), flow_cap_(flow_cap) {}
+
+  std::vector<Flow> flows;  ///< dense: every entry is live
+
+  [[nodiscard]] std::size_t active() const { return flows.size(); }
+  [[nodiscard]] double total_rate() const {
+    double sum = 0.0;
+    for (const Flow& f : flows) sum += f.rate;
+    return sum;
+  }
+  [[nodiscard]] SimTime next_completion(SimTime t) const {
+    SimTime t_comp = kInf;
+    for (const Flow& f : flows) {
+      if (f.rate > 0.0) t_comp = std::min(t_comp, t + f.remaining_mb / f.rate);
+    }
+    return t_comp;
+  }
+  void advance(SimTime t, SimTime t_next) {
+    const SimTime dt = std::max(0.0, t_next - t);
+    if (dt <= 0.0) return;
+    for (Flow& f : flows) f.remaining_mb -= f.rate * dt;
+  }
+  template <class Done>
+  void complete_due(Done&& done) {
+    for (std::size_t i = 0; i < flows.size();) {
+      if (flows[i].remaining_mb <= kRemEps) {
+        done(flows[i]);
+        flows[i] = std::move(flows.back());
+        flows.pop_back();
+      } else {
+        ++i;
+      }
+    }
+  }
+  void add(Flow f) {
+    f.live = true;
+    flows.push_back(std::move(f));
+  }
+  void set_path(std::size_t i, std::vector<std::uint32_t> links) {
+    flows[i].links = std::move(links);
+  }
+  void propagate() {}
+  void set_capacity(std::uint32_t /*link*/, double /*cap*/) {}
+  void end_instant(bool changed) {
+    if (changed) solve();
+  }
+  void finish(StreamResult& res) const { res.solver.events = solves_; }
+
+ private:
+  void solve() {
+    // Clear previous allocations (only links that were touched).
+    for (const Flow& f : flows) {
+      for (const std::uint32_t l : f.links) alloc_[l] = 0.0;
+    }
+    views_.clear();
+    views_.reserve(flows.size());
+    for (const Flow& f : flows) views_.emplace_back(f.links);
+
+    MaxMinInput in;
+    in.flow_links = views_;
+    in.link_capacity = capacity_;
+    in.flow_cap = flow_cap_;
+    in.num_links = capacity_.size();
+    const std::span<const double> rates = max_min_rates(in, ws_);
+
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      flows[i].rate = rates[i];
+      for (const std::uint32_t l : flows[i].links) alloc_[l] += rates[i];
+    }
+    ++solves_;
+  }
+
+  std::vector<double>& alloc_;
+  const std::vector<double>& capacity_;
+  Mbps flow_cap_;
+  MaxMinWorkspace ws_;  ///< solver scratch reused across instants
+  std::vector<std::span<const std::uint32_t>> views_;  ///< flows' links
+  std::uint64_t solves_ = 0;
+};
+
+/// run_stream()'s arithmetic: IncrementalMaxMin re-solves only the
+/// bottleneck component a mutation touches, fluid state settles lazily
+/// (remaining_mb is exact as of update_t, so an event only touches the
+/// flows whose rates moved), and completions come off a generation-stamped
+/// heap: predictions are exact while a rate holds, and any rate change
+/// bumps the flow's generation, orphaning its stale entries.
+class IncrementalEngine {
+ public:
+  IncrementalEngine(std::vector<double>& alloc,
+                    const std::vector<double>& capacity, Mbps flow_cap,
+                    const StreamConfig& sc)
+      : alloc_(alloc),
+        solver_(capacity, flow_cap),
+        differential_(sc.differential),
+        measure_(sc.measure_solve_latency) {}
+
+  std::vector<Flow> flows;  ///< indexed by solver slot
+
+  [[nodiscard]] std::size_t active() const { return active_; }
+  [[nodiscard]] double total_rate() const { return total_rate_; }
+  [[nodiscard]] SimTime next_completion(SimTime /*t*/) const {
+    return heap_.empty() ? kInf : heap_.top().t;
+  }
+  /// Settlement is lazy: only the clock moves.
+  void advance(SimTime /*t*/, SimTime t_next) { now_ = t_next; }
+  template <class Done>
+  void complete_due(Done&& done) {
+    while (!heap_.empty() && heap_.top().t <= now_ + kTimeEps) {
+      const Pending e = heap_.top();
+      heap_.pop();
+      Flow& f = flows[e.slot];
+      if (!f.live || e.gen != f.gen) continue;
+      done(f);
+      total_rate_ -= f.rate;
+      f.live = false;
+      ++f.gen;
+      --active_;
+      timed([&] { solver_.remove_flow(e.slot); });
+      propagate();
+    }
+  }
+  void add(Flow f) {
+    IncrementalMaxMin::Slot slot = IncrementalMaxMin::kInvalidSlot;
+    timed([&] { slot = solver_.add_flow(f.links); });
+    if (flows.size() <= slot) flows.resize(slot + 1);
+    const std::span<const std::uint32_t> dd = solver_.links_of(slot);
+    f.links.assign(dd.begin(), dd.end());
+    f.update_t = now_;
+    f.gen = flows[slot].gen + 1;  // orphan the slot's stale entries
+    f.live = true;
+    flows[slot] = std::move(f);
+    ++active_;
+    propagate();
+    MIFO_ASSERT(flows[slot].rate > 0.0);  // nonempty path ⇒ positive share
+  }
+  void set_path(std::size_t i, std::vector<std::uint32_t> links) {
+    const auto slot = static_cast<IncrementalMaxMin::Slot>(i);
+    timed([&] { solver_.update_path(slot, links); });
+    const std::span<const std::uint32_t> dd = solver_.links_of(slot);
+    flows[i].links.assign(dd.begin(), dd.end());
+  }
+  /// Settles each flow the last mutation re-rated at its old rate, shifts
+  /// link allocations by the delta and re-predicts its completion.
+  void propagate() {
+    for (const IncrementalMaxMin::RateChange& ch : solver_.changes()) {
+      Flow& f = flows[ch.slot];
+      f.remaining_mb -= f.rate * (now_ - f.update_t);
+      f.update_t = now_;
+      const double delta = ch.new_rate - ch.old_rate;
+      for (const std::uint32_t l : f.links) alloc_[l] += delta;
+      total_rate_ += delta;
+      f.rate = ch.new_rate;
+      ++f.gen;
+      if (f.rate > 0.0) {
+        heap_.push(Pending{now_ + std::max(0.0, f.remaining_mb) / f.rate,
+                           ch.slot, f.gen});
+      }
+    }
+    if (differential_) (void)solver_.check_differential();
+  }
+  void set_capacity(std::uint32_t link, double cap) {
+    timed([&] { solver_.set_capacity(link, cap); });
+    propagate();
+  }
+  void end_instant(bool /*changed*/) {}
+  void finish(StreamResult& res) {
+    res.solver = solver_.stats();
+    res.solve_seconds = std::move(solve_seconds_);
+  }
+
+ private:
+  struct Pending {
+    SimTime t = 0.0;
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;
+  };
+  struct Later {
+    bool operator()(const Pending& a, const Pending& b) const {
+      if (a.t != b.t) return a.t > b.t;
+      if (a.slot != b.slot) return a.slot > b.slot;
+      return a.gen > b.gen;
+    }
+  };
+
+  template <class Op>
+  void timed(Op&& op) {
+    if (!measure_) {
+      op();
+      return;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    op();
+    const auto t1 = std::chrono::steady_clock::now();
+    solve_seconds_.push_back(std::chrono::duration<double>(t1 - t0).count());
+  }
+
+  std::vector<double>& alloc_;
+  IncrementalMaxMin solver_;
+  bool differential_;
+  bool measure_;
+  std::priority_queue<Pending, std::vector<Pending>, Later> heap_;
+  SimTime now_ = 0.0;
+  std::size_t active_ = 0;
+  double total_rate_ = 0.0;  ///< Σ live rates (goodput integrand)
+  std::vector<double> solve_seconds_;
+};
+
 }  // namespace
 
 FluidSim::FluidSim(const topo::AsGraph& g, SimConfig cfg)
@@ -156,92 +423,7 @@ core::WalkResult FluidSim::route_flow(AsId src, AsId dest) {
   return {};
 }
 
-void FluidSim::recompute_rates() {
-  // Clear previous allocations (only links that were touched).
-  for (const auto& f : active_) {
-    for (const std::uint32_t l : f.links) alloc_[l] = 0.0;
-  }
-  flow_links_view_.clear();
-  flow_links_view_.reserve(active_.size());
-  for (const auto& f : active_) flow_links_view_.emplace_back(f.links);
-
-  MaxMinInput in;
-  in.flow_links = flow_links_view_;
-  in.link_capacity = capacity_;
-  in.flow_cap = cfg_.flow_rate_cap;
-  in.num_links = capacity_.size();
-  const std::span<const double> rates = max_min_rates(in, maxmin_ws_);
-
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    active_[i].rate = rates[i];
-    for (const std::uint32_t l : active_[i].links) alloc_[l] += rates[i];
-  }
-  if (shard_) shard_->add(m_solver_runs_);
-}
-
-void FluidSim::reevaluate_paths(std::vector<FlowRecord>& records) {
-  if (cfg_.mode == RoutingMode::Bgp) return;
-  for (auto& f : active_) {
-    FlowRecord& rec = records[f.record];
-    const AsId src = rec.spec.src;
-    const AsId dst = rec.spec.dst;
-
-    // Evaluate congestion as the flow's border routers would see it:
-    // without the flow's own contribution. A lone flow saturating a link is
-    // not congestion worth fleeing — counting it makes every full link
-    // "congested" under max–min and the flow would oscillate between its
-    // default and an alternative forever.
-    for (const std::uint32_t l : f.links) alloc_[l] -= f.rate;
-
-    bool should_reroute = false;
-    if (!f.deflected) {
-      // Default path hit congestion?
-      for (const std::uint32_t l : f.links) {
-        if (utilization(l) >= cfg_.congest_threshold) {
-          should_reroute = true;
-          break;
-        }
-      }
-    } else {
-      // Hysteresis: resume the default path once it has drained…
-      bool default_clear = true;
-      for (const std::uint32_t l : f.deflt) {
-        if (utilization(l) >= cfg_.low_watermark) {
-          default_clear = false;
-          break;
-        }
-      }
-      // Deflected flows do NOT hop between alternatives: under max–min
-      // sharing every loaded bottleneck sits at full utilization, so
-      // alternative-fleeing would re-shuffle the whole population every
-      // tick. The paper's stability numbers (Fig. 9: two thirds of
-      // switching flows switch exactly once) reflect this
-      // deflect-once/return-once discipline.
-      should_reroute = default_clear;
-    }
-
-    if (should_reroute) {
-      core::WalkResult w = route_flow(src, dst);
-      MIFO_ASSERT(w.reachable);  // it was reachable at admission
-      std::vector<std::uint32_t> links;
-      links.reserve(w.links.size());
-      for (const LinkId l : w.links) links.push_back(l.value());
-      if (links != f.links) {
-        f.links = std::move(links);
-        f.deflected = w.deflections > 0;
-        ++rec.path_switches;
-        rec.used_alternative = rec.used_alternative || f.deflected;
-        if (shard_) shard_->add(m_reroutes_);
-      }
-    }
-
-    // Re-charge the (possibly moved) flow so later flows in this tick see
-    // the shifted load.
-    for (const std::uint32_t l : f.links) alloc_[l] += f.rate;
-  }
-}
-
-void FluidSim::take_sample(SimTime t) {
+obs::UtilSample FluidSim::scan_links(SimTime t, std::size_t active) const {
   obs::UtilSample s;
   s.t = t;
   double sum = 0.0;
@@ -259,289 +441,107 @@ void FluidSim::take_sample(SimTime t) {
   s.mean_util = loaded != 0 ? sum / loaded : 0.0;
   s.frac_congested =
       loaded != 0 ? static_cast<double>(congested) / loaded : 0.0;
-  s.active_flows = static_cast<std::uint32_t>(active_.size());
-  samples_.push_back(s);
+  s.active_flows = active;
+  return s;
 }
 
-std::vector<FlowRecord> FluidSim::run(std::vector<traffic::FlowSpec> specs) {
-  std::sort(specs.begin(), specs.end(),
-            [](const traffic::FlowSpec& a, const traffic::FlowSpec& b) {
-              return a.arrival < b.arrival;
-            });
-  std::vector<FlowRecord> records(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) records[i].spec = specs[i];
+template <class Engine>
+void FluidSim::reevaluate(Engine& eng, std::vector<FlowRecord>& records) {
+  for (std::size_t i = 0; i < eng.flows.size(); ++i) {
+    Flow& f = eng.flows[i];
+    if (!f.live) continue;
+    FlowRecord& rec = records[f.record];
 
-  warm_route_cache(specs);
+    // Evaluate congestion as the flow's border routers would see it:
+    // without the flow's own contribution. A lone flow saturating a link is
+    // not congestion worth fleeing — counting it makes every full link
+    // "congested" under max–min and the flow would oscillate between its
+    // default and an alternative forever.
+    for (const std::uint32_t l : f.links) alloc_[l] -= f.rate;
 
-  active_.clear();
-  // Completions tear allocations down flow by flow, which can leave tiny
-  // floating-point residues behind; start every run from exact zeros.
-  std::fill(alloc_.begin(), alloc_.end(), 0.0);
-  // Chaos capacity events mutate capacity_ mid-run; start from a clean slate
-  // so back-to-back run() calls on one sim are independent.
-  std::fill(capacity_.begin(), capacity_.end(), cfg_.link_capacity);
-  std::stable_sort(cap_events_.begin(), cap_events_.end(),
-                   [](const CapacityEvent& a, const CapacityEvent& b) {
-                     return a.t < b.t;
-                   });
-  std::size_t ci = 0;
-  samples_.clear();
-  next_sample_ = sample_interval_;
-  SimTime t = 0.0;
-  SimTime next_tick = cfg_.reeval_interval;
-  std::size_t ai = 0;
+    const auto any_at = [this](const std::vector<std::uint32_t>& links,
+                               double threshold) {
+      return std::any_of(links.begin(), links.end(), [&](std::uint32_t l) {
+        return utilization(l) >= threshold;
+      });
+    };
+    // A flow on its default path leaves it once any link is congested. A
+    // deflected flow resumes the default once it has drained (hysteresis)
+    // and does NOT hop between alternatives: under max–min sharing every
+    // loaded bottleneck sits at full utilization, so alternative-fleeing
+    // would re-shuffle the whole population every tick. The paper's
+    // stability numbers (Fig. 9: two thirds of switching flows switch
+    // exactly once) reflect this deflect-once/return-once discipline.
+    const bool should_reroute =
+        f.deflected ? !any_at(f.deflt, cfg_.low_watermark)
+                    : any_at(f.links, cfg_.congest_threshold);
 
-  while (ai < specs.size() || !active_.empty()) {
-    const SimTime t_arr = ai < specs.size() ? specs[ai].arrival : kInf;
-    SimTime t_comp = kInf;
-    for (const auto& f : active_) {
-      if (f.rate > 0.0) {
-        t_comp = std::min(t_comp, t + f.remaining_mb / f.rate);
-      }
-    }
-    const SimTime t_tick =
-        (cfg_.mode == RoutingMode::Bgp || active_.empty()) ? kInf : next_tick;
-    // Pending capacity events only matter while flows exist to reshare; an
-    // event before the next arrival with nothing active applies then too,
-    // keeping event/arrival interleaving exact.
-    const SimTime t_ev = ci < cap_events_.size() ? cap_events_[ci].t : kInf;
-    const SimTime t_next = std::min({t_arr, t_comp, t_tick, t_ev});
-    MIFO_ASSERT(t_next < kInf);
-    MIFO_ASSERT(t_next >= t - kTimeEps);
-
-    // Fluid advance.
-    const SimTime dt = std::max(0.0, t_next - t);
-    if (dt > 0.0) {
-      for (auto& f : active_) f.remaining_mb -= f.rate * dt;
-    }
-    // Utilization samples describe the interval just advanced (alloc_ still
-    // holds the rates that were in force over [t, t_next]).
-    if (sample_interval_ > 0.0) {
-      while (next_sample_ <= t_next + kTimeEps) {
-        take_sample(next_sample_);
-        next_sample_ += sample_interval_;
-      }
-    }
-    t = t_next;
-
-    bool changed = false;
-
-    // Capacity events (link down/up/degrade) due now.
-    while (ci < cap_events_.size() && cap_events_[ci].t <= t + kTimeEps) {
-      capacity_[cap_events_[ci].link] =
-          cfg_.link_capacity * cap_events_[ci].factor;
-      changed = true;
-      ++ci;
-    }
-
-    // Completions.
-    for (std::size_t i = 0; i < active_.size();) {
-      if (active_[i].remaining_mb <= kRemEps) {
-        FlowRecord& rec = records[active_[i].record];
-        rec.completed = true;
-        rec.finish = t;
-        if (shard_) shard_->add(m_completions_);
-        for (const std::uint32_t l : active_[i].links) {
-          alloc_[l] -= active_[i].rate;
-        }
-        active_[i] = std::move(active_.back());
-        active_.pop_back();
-        changed = true;
-      } else {
-        ++i;
+    bool moved = false;
+    if (should_reroute) {
+      const core::WalkResult w = route_flow(rec.spec.src, rec.spec.dst);
+      MIFO_ASSERT(w.reachable);  // it was reachable at admission
+      std::vector<std::uint32_t> links = link_ids(w);
+      if (links != f.links) {
+        eng.set_path(i, std::move(links));
+        f.deflected = w.deflections > 0;
+        ++rec.path_switches;
+        rec.used_alternative = rec.used_alternative || f.deflected;
+        if (shard_) shard_->add(m_reroutes_);
+        moved = true;
       }
     }
 
-    // Arrivals.
-    while (ai < specs.size() && specs[ai].arrival <= t + kTimeEps) {
-      const auto& spec = specs[ai];
-      core::WalkResult w = route_flow(spec.src, spec.dst);
-      if (!w.reachable) {
-        records[ai].unreachable = true;
-        if (shard_) shard_->add(m_unreachable_);
-        ++ai;
-        continue;
-      }
-      if (shard_) shard_->add(m_arrivals_);
-      ActiveFlow f;
-      f.record = static_cast<std::uint32_t>(ai);
-      f.dest_as = spec.dst.value();
-      f.links.reserve(w.links.size());
-      for (const LinkId l : w.links) f.links.push_back(l.value());
-      const auto& routes = routes_for(spec.dst);
-      const auto def = core::bgp_walk(g_, routes, spec.src);
-      f.deflt.reserve(def.links.size());
-      for (const LinkId l : def.links) f.deflt.push_back(l.value());
-      f.remaining_mb = to_megabits(spec.size);
-      f.deflected = w.deflections > 0;
-      if (f.deflected) {
-        // The initial deflection is the flow's first path switch.
-        records[ai].path_switches = 1;
-        records[ai].used_alternative = true;
-      }
-      active_.push_back(std::move(f));
-      changed = true;
-      ++ai;
-    }
-
-    // Re-evaluation tick.
-    if (t_tick < kInf && t >= t_tick - kTimeEps) {
-      if (shard_) shard_->add(m_ticks_);
-      reevaluate_paths(records);
-      changed = true;
-      while (next_tick <= t + kTimeEps) next_tick += cfg_.reeval_interval;
-    }
-
-    if (changed) recompute_rates();
+    // Re-charge the (possibly moved) flow at its current rate so later
+    // flows in this tick see the shifted load.
+    for (const std::uint32_t l : f.links) alloc_[l] += f.rate;
+    if (moved) eng.propagate();
   }
-
-  return records;
 }
 
-StreamResult FluidSim::run_stream(traffic::WorkloadEngine& workload,
-                                  const StreamConfig& sc) {
-  std::vector<std::uint32_t> dests;
-  dests.reserve(workload.endpoints().size());
-  for (const AsId a : workload.endpoints()) dests.push_back(a.value());
-  warm_route_cache_dests(std::move(dests));
-  return run_stream_impl(
-      [&workload](traffic::FlowSpec& out) { return workload.next(out); },
-      [&workload](SimTime t) { return workload.offered_load_mbps(t); }, sc);
-}
-
-StreamResult FluidSim::run_stream(std::vector<traffic::FlowSpec> specs,
-                                  const StreamConfig& sc) {
-  std::sort(specs.begin(), specs.end(),
-            [](const traffic::FlowSpec& a, const traffic::FlowSpec& b) {
-              return a.arrival < b.arrival;
-            });
-  warm_route_cache(specs);
-  std::size_t next = 0;
-  return run_stream_impl(
-      [&specs, next](traffic::FlowSpec& out) mutable {
-        if (next >= specs.size()) return false;
-        out = specs[next++];
-        return true;
-      },
-      nullptr, sc);
-}
-
-StreamResult FluidSim::run_stream_impl(
+template <class Engine>
+StreamResult FluidSim::event_loop(
     const std::function<bool(traffic::FlowSpec&)>& source,
-    const std::function<double(SimTime)>& offered, const StreamConfig& sc) {
-  MIFO_EXPECTS(sc.epoch > 0.0);
-  StreamResult res;
-
-  // Same clean slate as run(): exact zero allocations, pristine capacities,
-  // chaos events sorted and pending.
-  active_.clear();
+    std::size_t num_flows, const std::function<double(SimTime)>& offered,
+    const StreamConfig& sc) {
+  // Start every run from a clean slate so back-to-back runs on one sim are
+  // independent: exact zero allocations (completions tear allocations down
+  // flow by flow and can leave floating-point residues), pristine
+  // capacities (capacity events mutate them mid-run), events sorted.
   std::fill(alloc_.begin(), alloc_.end(), 0.0);
   std::fill(capacity_.begin(), capacity_.end(), cfg_.link_capacity);
   std::stable_sort(cap_events_.begin(), cap_events_.end(),
                    [](const CapacityEvent& a, const CapacityEvent& b) {
                      return a.t < b.t;
                    });
+  samples_.clear();
+  Engine eng(alloc_, capacity_, cfg_.flow_rate_cap, sc);
+  StreamResult res;
+  res.records.reserve(num_flows);
+
   std::size_t ci = 0;
-
-  IncrementalMaxMin solver(capacity_, cfg_.flow_rate_cap);
-
-  // Streaming flow table, indexed by solver slot. Fluid state settles
-  // lazily (remaining_mb is exact as of update_t), so an event only touches
-  // the flows whose rates actually moved, not the whole population.
-  struct SFlow {
-    std::uint32_t record = 0;
-    std::vector<std::uint32_t> links;
-    std::vector<std::uint32_t> deflt;
-    double remaining_mb = 0.0;
-    SimTime update_t = 0.0;
-    double rate = 0.0;
-    std::uint32_t gen = 0;  ///< bumps on every rate change / reuse / death
-    bool deflected = false;
-    bool live = false;
-    AsId src;
-    AsId dst;
-  };
-  std::vector<SFlow> sflows;
-
-  // Lazy completion heap: predictions are exact while a flow's rate holds;
-  // any rate change bumps the generation, orphaning stale entries.
-  struct Pending {
-    SimTime t = 0.0;
-    std::uint32_t slot = 0;
-    std::uint32_t gen = 0;
-  };
-  const auto later = [](const Pending& a, const Pending& b) {
-    if (a.t != b.t) return a.t > b.t;
-    if (a.slot != b.slot) return a.slot > b.slot;
-    return a.gen > b.gen;
-  };
-  std::priority_queue<Pending, std::vector<Pending>, decltype(later)> heap(
-      later);
-
   SimTime t = 0.0;
-  double total_rate = 0.0;  ///< Σ live rates (goodput integrand)
-  std::size_t active = 0;
   SimTime next_tick = cfg_.reeval_interval;
+  SimTime next_sample = sample_interval_;
+  const bool epochs = sc.epoch > 0.0;
   SimTime epoch_end = sc.epoch;
   double epoch_mb = 0.0;
   std::uint64_t epoch_arrivals = 0;
   std::uint64_t epoch_completions = 0;
 
-  const auto timed = [&](auto&& op) {
-    if (!sc.measure_solve_latency) {
-      op();
-      return;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    op();
-    const auto t1 = std::chrono::steady_clock::now();
-    res.solve_seconds.push_back(
-        std::chrono::duration<double>(t1 - t0).count());
-  };
-
-  // Propagate the solver's rate movements: settle each touched flow's
-  // remaining bytes at its old rate, shift link allocations by the delta,
-  // and re-predict its completion.
-  const auto apply_changes = [&] {
-    for (const IncrementalMaxMin::RateChange& ch : solver.changes()) {
-      SFlow& f = sflows[ch.slot];
-      f.remaining_mb -= f.rate * (t - f.update_t);
-      f.update_t = t;
-      const double delta = ch.new_rate - ch.old_rate;
-      for (const std::uint32_t l : f.links) alloc_[l] += delta;
-      total_rate += delta;
-      f.rate = ch.new_rate;
-      ++f.gen;
-      if (f.rate > 0.0) {
-        heap.push(Pending{t + std::max(0.0, f.remaining_mb) / f.rate,
-                          ch.slot, f.gen});
-      }
-    }
-    if (sc.differential) (void)solver.check_differential();
-  };
-
   const auto emit_epoch = [&](SimTime edge, SimTime length) {
+    const obs::UtilSample scan = scan_links(edge, eng.active());
     obs::LoadSample s;
     s.t = edge;
     s.goodput_mbps = length > 0.0 ? epoch_mb / length : 0.0;
     s.offered_mbps = offered ? offered(edge) : 0.0;
-    std::uint32_t loaded = 0;
-    std::uint32_t congested = 0;
-    for (std::size_t l = 0; l < alloc_.size(); ++l) {
-      if (alloc_[l] <= 0.0) continue;
-      const double u = alloc_[l] / capacity_[l];
-      ++loaded;
-      s.max_util = std::max(s.max_util, u);
-      if (u >= cfg_.congest_threshold) ++congested;
-    }
-    s.frac_congested =
-        loaded != 0 ? static_cast<double>(congested) / loaded : 0.0;
-    s.active_flows = active;
+    s.max_util = scan.max_util;
+    s.frac_congested = scan.frac_congested;
+    s.active_flows = scan.active_flows;
     s.arrivals = epoch_arrivals;
     s.completions = epoch_completions;
     res.load.push_back(s);
     if (shard_) {
-      shard_->set(m_active_flows_, static_cast<double>(active));
+      shard_->set(m_active_flows_, static_cast<double>(s.active_flows));
       shard_->set(m_offered_load_, s.offered_mbps);
     }
     epoch_mb = 0.0;
@@ -549,113 +549,55 @@ StreamResult FluidSim::run_stream_impl(
     epoch_completions = 0;
   };
 
+  // Admission: route the flow, remember its default path, hand it to the
+  // engine. Returns whether it was reachable (and so admitted).
   const auto admit = [&](const traffic::FlowSpec& spec) {
-    const auto rec_idx = static_cast<std::uint32_t>(res.records.size());
-    FlowRecord rec;
+    FlowRecord& rec = res.records.emplace_back();
     rec.spec = spec;
-    res.records.push_back(rec);
     const core::WalkResult w = route_flow(spec.src, spec.dst);
     if (!w.reachable) {
-      res.records[rec_idx].unreachable = true;
+      rec.unreachable = true;
       if (shard_) shard_->add(m_unreachable_);
-      return;
+      return false;
     }
     if (shard_) shard_->add(m_arrivals_);
-    std::vector<std::uint32_t> links;
-    links.reserve(w.links.size());
-    for (const LinkId l : w.links) links.push_back(l.value());
-    IncrementalMaxMin::Slot slot = IncrementalMaxMin::kInvalidSlot;
-    timed([&] { slot = solver.add_flow(links); });
-    if (sflows.size() <= slot) sflows.resize(slot + 1);
-    SFlow& f = sflows[slot];
-    const std::uint32_t gen = f.gen + 1;  // orphan the slot's stale entries
-    f = SFlow{};
-    f.gen = gen;
-    f.record = rec_idx;
-    f.src = spec.src;
-    f.dst = spec.dst;
-    const std::span<const std::uint32_t> dd = solver.links_of(slot);
-    f.links.assign(dd.begin(), dd.end());
-    const auto def = core::bgp_walk(g_, routes_for(spec.dst), spec.src);
-    f.deflt.reserve(def.links.size());
-    for (const LinkId l : def.links) f.deflt.push_back(l.value());
+    Flow f;
+    f.record = static_cast<std::uint32_t>(res.records.size() - 1);
+    f.links = link_ids(w);
+    f.deflt = link_ids(core::bgp_walk(g_, routes_for(spec.dst), spec.src));
     f.remaining_mb = to_megabits(spec.size);
-    f.update_t = t;
-    f.live = true;
     f.deflected = w.deflections > 0;
     if (f.deflected) {
-      res.records[rec_idx].path_switches = 1;
-      res.records[rec_idx].used_alternative = true;
+      // The initial deflection is the flow's first path switch.
+      rec.path_switches = 1;
+      rec.used_alternative = true;
     }
-    ++active;
     ++epoch_arrivals;
-    res.peak_active = std::max<std::uint64_t>(res.peak_active, active);
-    apply_changes();
-    MIFO_ASSERT(f.rate > 0.0);  // nonempty path ⇒ positive max–min share
-  };
-
-  // The MIFO/MIRO re-evaluation tick, streaming edition: identical
-  // discipline to reevaluate_paths (measure congestion without the flow's
-  // own rate; deflect-once / return-once hysteresis) but path moves go
-  // through the incremental solver instead of a global re-solve.
-  const auto reevaluate_stream = [&] {
-    for (std::uint32_t slot = 0; slot < sflows.size(); ++slot) {
-      SFlow& f = sflows[slot];
-      if (!f.live) continue;
-      FlowRecord& rec = res.records[f.record];
-      for (const std::uint32_t l : f.links) alloc_[l] -= f.rate;
-
-      bool should_reroute = false;
-      if (!f.deflected) {
-        for (const std::uint32_t l : f.links) {
-          if (utilization(l) >= cfg_.congest_threshold) {
-            should_reroute = true;
-            break;
-          }
-        }
-      } else {
-        bool default_clear = true;
-        for (const std::uint32_t l : f.deflt) {
-          if (utilization(l) >= cfg_.low_watermark) {
-            default_clear = false;
-            break;
-          }
-        }
-        should_reroute = default_clear;
-      }
-
-      bool moved = false;
-      if (should_reroute) {
-        const core::WalkResult w = route_flow(f.src, f.dst);
-        MIFO_ASSERT(w.reachable);  // it was reachable at admission
-        std::vector<std::uint32_t> links;
-        links.reserve(w.links.size());
-        for (const LinkId l : w.links) links.push_back(l.value());
-        if (links != f.links) {
-          timed([&] { solver.update_path(slot, links); });
-          const std::span<const std::uint32_t> dd = solver.links_of(slot);
-          f.links.assign(dd.begin(), dd.end());
-          f.deflected = w.deflections > 0;
-          ++rec.path_switches;
-          rec.used_alternative = rec.used_alternative || f.deflected;
-          if (shard_) shard_->add(m_reroutes_);
-          moved = true;
-        }
-      }
-
-      for (const std::uint32_t l : f.links) alloc_[l] += f.rate;
-      if (moved) apply_changes();
-    }
+    eng.add(std::move(f));
+    res.peak_active = std::max<std::uint64_t>(res.peak_active, eng.active());
+    return true;
   };
 
   traffic::FlowSpec pending;
   bool have = source(pending);
 
-  while (have || active > 0) {
+  while (have || eng.active() > 0) {
     const SimTime t_arr = have ? pending.arrival : kInf;
-    const SimTime t_comp = heap.empty() ? kInf : heap.top().t;
-    const SimTime t_tick =
-        (cfg_.mode == RoutingMode::Bgp || active == 0) ? kInf : next_tick;
+    const SimTime t_comp = eng.next_completion(t);
+    SimTime t_tick = kInf;
+    if (cfg_.mode != RoutingMode::Bgp && eng.active() > 0) {
+      // Ticks pause while nothing is active; after an idle gap they resume
+      // on the interval grid after t instead of replaying missed ticks.
+      if (next_tick < t - kTimeEps) {
+        next_tick = (std::floor(t / cfg_.reeval_interval) + 1.0) *
+                    cfg_.reeval_interval;
+        if (next_tick <= t + kTimeEps) next_tick += cfg_.reeval_interval;
+      }
+      t_tick = next_tick;
+    }
+    // Pending capacity events only matter while flows exist to reshare; an
+    // event before the next arrival with nothing active applies then too,
+    // keeping event/arrival interleaving exact.
     const SimTime t_ev = ci < cap_events_.size() ? cap_events_[ci].t : kInf;
     SimTime t_next = std::min({t_arr, t_comp, t_tick, t_ev});
     MIFO_ASSERT(t_next < kInf);
@@ -666,71 +608,69 @@ StreamResult FluidSim::run_stream_impl(
     }
     MIFO_ASSERT(t_next >= t - kTimeEps);
 
-    // Integrate goodput across every epoch edge inside [t, t_next].
-    SimTime cursor = t;
-    while (epoch_end <= t_next + kTimeEps) {
-      epoch_mb += total_rate * std::max(0.0, epoch_end - cursor);
-      cursor = epoch_end;
-      emit_epoch(epoch_end, sc.epoch);
-      epoch_end += sc.epoch;
+    // Fluid advance. Samples and epoch edges inside [t, t_next] describe
+    // the interval just advanced: alloc_ still holds the rates in force.
+    eng.advance(t, t_next);
+    while (sample_interval_ > 0.0 && next_sample <= t_next + kTimeEps) {
+      samples_.push_back(scan_links(next_sample, eng.active()));
+      next_sample += sample_interval_;
     }
-    epoch_mb += total_rate * std::max(0.0, t_next - cursor);
+    if (epochs) {
+      // Integrate goodput across every epoch edge inside [t, t_next].
+      SimTime cursor = t;
+      while (epoch_end <= t_next + kTimeEps) {
+        epoch_mb += eng.total_rate() * std::max(0.0, epoch_end - cursor);
+        cursor = epoch_end;
+        emit_epoch(epoch_end, sc.epoch);
+        epoch_end += sc.epoch;
+      }
+      epoch_mb += eng.total_rate() * std::max(0.0, t_next - cursor);
+    }
     t = t_next;
     if (stop) {
-      res.truncated = active > 0;
+      res.truncated = eng.active() > 0;
       break;
     }
 
-    // Capacity events (chaos link down/degrade/up) due now.
+    bool changed = false;
+
+    // Capacity events (link down/up/degrade) due now.
     while (ci < cap_events_.size() && cap_events_[ci].t <= t + kTimeEps) {
       const std::uint32_t link = cap_events_[ci].link;
-      const double cap = cfg_.link_capacity * cap_events_[ci].factor;
-      capacity_[link] = cap;
-      timed([&] { solver.set_capacity(link, cap); });
-      apply_changes();
+      capacity_[link] = cfg_.link_capacity * cap_events_[ci].factor;
+      eng.set_capacity(link, capacity_[link]);
+      changed = true;
       ++ci;
     }
 
-    // Completions: pop due predictions, skipping orphaned generations.
-    while (!heap.empty() && heap.top().t <= t + kTimeEps) {
-      const Pending e = heap.top();
-      heap.pop();
-      SFlow& f = sflows[e.slot];
-      if (!f.live || e.gen != f.gen) continue;
-      f.remaining_mb -= f.rate * (t - f.update_t);
-      f.update_t = t;
+    eng.complete_due([&](const Flow& f) {
       FlowRecord& rec = res.records[f.record];
       rec.completed = true;
       rec.finish = t;
       if (shard_) shard_->add(m_completions_);
       for (const std::uint32_t l : f.links) alloc_[l] -= f.rate;
-      total_rate -= f.rate;
-      f.live = false;
-      ++f.gen;
-      --active;
       ++epoch_completions;
-      timed([&] { solver.remove_flow(e.slot); });
-      apply_changes();
-    }
+      changed = true;
+    });
 
-    // Arrivals.
     while (have && pending.arrival <= t + kTimeEps) {
-      admit(pending);
+      changed = admit(pending) || changed;
       have = source(pending);
     }
 
-    // Re-evaluation tick.
     if (t_tick < kInf && t >= t_tick - kTimeEps) {
       if (shard_) shard_->add(m_ticks_);
-      reevaluate_stream();
+      reevaluate(eng, res.records);
+      changed = true;
       while (next_tick <= t + kTimeEps) next_tick += cfg_.reeval_interval;
     }
+
+    eng.end_instant(changed);
   }
 
   // Close the trailing partial epoch so the goodput integral is exact.
-  {
-    const SimTime start = epoch_end - sc.epoch;
-    const SimTime length = t - start;
+  if (epochs) {
+    const SimTime length = t - (epoch_end - sc.epoch);
     if (length > kTimeEps &&
         (epoch_mb > 0.0 || epoch_arrivals + epoch_completions > 0)) {
       emit_epoch(t, length);
@@ -738,7 +678,7 @@ StreamResult FluidSim::run_stream_impl(
   }
 
   res.duration = t;
-  res.solver = solver.stats();
+  eng.finish(res);
   if (shard_) {
     shard_->add(m_solver_runs_, static_cast<double>(res.solver.events));
     shard_->add(m_solver_components_,
@@ -751,6 +691,34 @@ StreamResult FluidSim::run_stream_impl(
                 static_cast<double>(res.solver.differential_checks));
   }
   return res;
+}
+
+std::vector<FlowRecord> FluidSim::run(std::vector<traffic::FlowSpec> specs) {
+  const auto source = replay(specs);
+  warm_route_cache(specs);
+  StreamConfig sc;
+  sc.epoch = 0.0;  // run() keeps no epoch series
+  return event_loop<BatchEngine>(source, specs.size(), nullptr, sc).records;
+}
+
+StreamResult FluidSim::run_stream(traffic::WorkloadEngine& workload,
+                                  const StreamConfig& sc) {
+  MIFO_EXPECTS(sc.epoch > 0.0);
+  std::vector<std::uint32_t> dests;
+  dests.reserve(workload.endpoints().size());
+  for (const AsId a : workload.endpoints()) dests.push_back(a.value());
+  warm_route_cache_dests(std::move(dests));
+  return event_loop<IncrementalEngine>(
+      [&workload](traffic::FlowSpec& out) { return workload.next(out); }, 0,
+      [&workload](SimTime t) { return workload.offered_load_mbps(t); }, sc);
+}
+
+StreamResult FluidSim::run_stream(std::vector<traffic::FlowSpec> specs,
+                                  const StreamConfig& sc) {
+  MIFO_EXPECTS(sc.epoch > 0.0);
+  const auto source = replay(specs);
+  warm_route_cache(specs);
+  return event_loop<IncrementalEngine>(source, specs.size(), nullptr, sc);
 }
 
 }  // namespace mifo::sim

@@ -116,14 +116,19 @@ class FluidSim {
   void set_deployment(std::vector<bool> deployed);
 
   /// Runs the whole trace to completion and returns one record per flow.
+  /// Rates come from the batch engine: one whole-population max–min solve
+  /// per instant at which anything changed (wins under heavy contention,
+  /// where one bottleneck component spans the population).
   [[nodiscard]] std::vector<FlowRecord> run(
       std::vector<traffic::FlowSpec> specs);
 
   /// Open-loop streaming run: pulls arrivals from the workload engine one
-  /// event at a time (millions of flows never materialize as a vector) and
-  /// re-solves rates incrementally per arrival/departure via
-  /// IncrementalMaxMin — the companion to run(), whose per-event
-  /// from-scratch solve is retained as the differential oracle.
+  /// event at a time (millions of flows never materialize as a vector).
+  /// Same event loop and routing policy as run(); rates come from the
+  /// incremental engine, which re-solves only the bottleneck component an
+  /// event touches via IncrementalMaxMin (wins with many light flows). Its
+  /// from-scratch oracle is IncrementalMaxMin::oracle_rates, checked after
+  /// every event when StreamConfig::differential is set.
   [[nodiscard]] StreamResult run_stream(traffic::WorkloadEngine& workload,
                                         const StreamConfig& sc);
   /// Same event loop over a pre-generated trace (tests / replays).
@@ -134,8 +139,8 @@ class FluidSim {
   /// capacity becomes `factor * SimConfig::link_capacity`. The factor is
   /// clamped to [1e-3, 10] — a "down" link keeps a sliver of capacity so
   /// utilization stays finite and flows pinned to it crawl rather than
-  /// divide by zero. Call before run(); run() applies events in time order
-  /// and resets all capacities to link_capacity at its start.
+  /// divide by zero. Call before run() or run_stream(); both apply events
+  /// in time order and reset all capacities to link_capacity at their start.
   void schedule_capacity_event(SimTime t, LinkId link, double factor);
 
   /// Converged routes towards `dest` (cached CSR store; exposed for tests).
@@ -148,9 +153,9 @@ class FluidSim {
   /// sim; snapshot after run(), not concurrently.
   void attach_registry(obs::Registry& reg, const std::string& labels);
 
-  /// Periodically record aggregate link-utilization samples during run()
-  /// (mean/max utilization over loaded links, congested fraction, total
-  /// spare, active flow count). 0 disables (the default).
+  /// Periodically record aggregate link-utilization samples during run() or
+  /// run_stream() (mean/max utilization over loaded links, congested
+  /// fraction, total spare, active flow count). 0 disables (the default).
   void enable_sampling(SimTime interval) { sample_interval_ = interval; }
   [[nodiscard]] const obs::UtilSeries& samples() const { return samples_; }
 
@@ -161,28 +166,28 @@ class FluidSim {
   /// remains the fallback; warmed results are byte-for-byte what it would
   /// have produced.
   void warm_route_cache(std::span<const traffic::FlowSpec> specs);
-  struct ActiveFlow {
-    std::uint32_t record = 0;           ///< index into records
-    std::uint32_t dest_as = 0;
-    std::vector<std::uint32_t> links;   ///< current path (directed links)
-    std::vector<std::uint32_t> deflt;   ///< default-path links
-    double remaining_mb = 0.0;          ///< megabits left
-    double rate = 0.0;
-    bool deflected = false;
-  };
+  void warm_route_cache_dests(std::vector<std::uint32_t> dests);
 
   [[nodiscard]] double utilization(std::uint32_t link) const;
   [[nodiscard]] core::WalkResult route_flow(AsId src, AsId dest);
-  /// Shared streaming event loop behind both run_stream overloads:
-  /// `source` yields arrivals in nondecreasing time order, `offered` (may
-  /// be null) reports the analytic offered load for the epoch series.
-  [[nodiscard]] StreamResult run_stream_impl(
+  /// The one event loop behind run() and run_stream(): `source` yields
+  /// arrivals in nondecreasing time order (`num_flows` of them, when known
+  /// up front; 0 otherwise), `offered` (may be null) reports the analytic
+  /// offered load for the epoch series (kept only when sc.epoch > 0).
+  /// `Engine` — batch or incremental, private to fluid_sim.cpp — holds the
+  /// flow table and the rate arithmetic; the loop owns everything else.
+  template <class Engine>
+  [[nodiscard]] StreamResult event_loop(
       const std::function<bool(traffic::FlowSpec&)>& source,
-      const std::function<double(SimTime)>& offered, const StreamConfig& sc);
-  void warm_route_cache_dests(std::vector<std::uint32_t> dests);
-  void recompute_rates();
-  void reevaluate_paths(std::vector<FlowRecord>& records);
-  void take_sample(SimTime t);
+      std::size_t num_flows, const std::function<double(SimTime)>& offered,
+      const StreamConfig& sc);
+  /// MIFO/MIRO re-evaluation tick over the engine's live flows.
+  template <class Engine>
+  void reevaluate(Engine& eng, std::vector<FlowRecord>& records);
+  /// Per-link load scan at time `t`: the aggregate behind both the
+  /// UtilSeries samples and the LoadSeries epoch edges.
+  [[nodiscard]] obs::UtilSample scan_links(SimTime t,
+                                           std::size_t active) const;
 
   struct CapacityEvent {
     SimTime t = 0.0;
@@ -198,11 +203,6 @@ class FluidSim {
   std::size_t cache_bytes_ = 0;  ///< resident footprint of cache_ stores
   std::vector<double> capacity_;  ///< per directed link
   std::vector<double> alloc_;    ///< per directed link, allocated Mbps
-  std::vector<ActiveFlow> active_;
-  /// Solver scratch reused across ticks (allocation-free steady state).
-  MaxMinWorkspace maxmin_ws_;
-  /// Per-tick views into the active flows' link vectors for MaxMinInput.
-  std::vector<std::span<const std::uint32_t>> flow_links_view_;
 
   // Observability (all optional; zero-cost when unattached/disabled).
   obs::Registry::Shard* shard_ = nullptr;
@@ -222,7 +222,6 @@ class FluidSim {
   obs::MetricId m_solver_full_incidences_ = 0;
   obs::MetricId m_solver_diff_checks_ = 0;
   SimTime sample_interval_ = 0.0;
-  SimTime next_sample_ = 0.0;
   obs::UtilSeries samples_;
 };
 

@@ -93,8 +93,15 @@ struct MaxMinWorkspace {
 /// without changing any rate. Each arrival / departure / path change /
 /// capacity change therefore re-solves only the bottleneck-connected
 /// component(s) it touches. Under internet-shaped load (access-capped flows
-/// over fat links) components stay tiny, so per-event work sits orders of
-/// magnitude below the from-scratch solve FluidSim::recompute_rates runs.
+/// over fat links, ~12k concurrent in perfbench's fluid_stream) components
+/// stay tiny, so per-event work sits orders of magnitude below a
+/// whole-population from-scratch solve. Under heavy contention it does
+/// not: in the Fig. 5 uniform trace at MIFO 100% (perfbench's fluid_batch,
+/// 10k flows) the bottleneck component is the whole population, the
+/// incremental path re-solves 91.1M incidences against 86.2M from scratch,
+/// and its bookkeeping (component BFS, completion heap, canonical sort)
+/// makes FluidSim::run_stream 2.5-2.7x slower than FluidSim::run there. That
+/// is why FluidSim keeps both rate engines behind one event loop.
 ///
 /// Exactness: every component is solved by one *canonical* max_min_rates
 /// call — members ordered by their monotonic admission sequence, paths
@@ -125,7 +132,8 @@ class IncrementalMaxMin {
     std::uint64_t flows_resolved = 0;       ///< sum of solved component sizes
     std::uint64_t incidences_resolved = 0;  ///< incremental solve work
     /// What from-scratch re-solves would have cost: active flows + total
-    /// path incidences at each event (FluidSim::recompute_rates's scan).
+    /// path incidences at each event (FluidSim::run's whole-population
+    /// scan).
     std::uint64_t full_incidences = 0;
     std::uint64_t peak_component = 0;       ///< largest component solved
     std::uint64_t differential_checks = 0;

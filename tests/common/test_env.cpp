@@ -33,6 +33,35 @@ TEST(Env, DoubleParses) {
   EXPECT_DOUBLE_EQ(env_double("MIFO_TEST_D", 0.5), 0.5);
 }
 
+TEST(Env, ParseU64IsStrict) {
+  EXPECT_EQ(parse_u64("0").value_or(1), 0u);
+  EXPECT_EQ(parse_u64("18446744073709551615").value_or(0), ~std::uint64_t{0});
+  EXPECT_FALSE(parse_u64(nullptr));
+  EXPECT_FALSE(parse_u64(""));
+  EXPECT_FALSE(parse_u64("-5"));  // strtoull alone would wrap to 2^64-5
+  EXPECT_FALSE(parse_u64("+5"));
+  EXPECT_FALSE(parse_u64(" 5"));
+  EXPECT_FALSE(parse_u64("5 "));
+  EXPECT_FALSE(parse_u64("abc"));
+  EXPECT_FALSE(parse_u64("18446744073709551616"));  // out of range
+  ::setenv("MIFO_TEST_U64", "-5", 1);
+  EXPECT_EQ(env_u64("MIFO_TEST_U64", 9), 9u);
+  ::unsetenv("MIFO_TEST_U64");
+}
+
+TEST(Env, ParseDoubleIsStrict) {
+  EXPECT_EQ(parse_double("0.25").value_or(0.0), 0.25);
+  EXPECT_EQ(parse_double("-1.5e3").value_or(0.0), -1500.0);
+  EXPECT_FALSE(parse_double(nullptr));
+  EXPECT_FALSE(parse_double(""));
+  EXPECT_FALSE(parse_double("x"));
+  EXPECT_FALSE(parse_double("1.5s"));
+  EXPECT_FALSE(parse_double(" 1.5"));
+  EXPECT_FALSE(parse_double("inf"));
+  EXPECT_FALSE(parse_double("nan"));
+  EXPECT_FALSE(parse_double("1e999"));  // overflows to inf
+}
+
 TEST(Env, StringParses) {
   ::setenv("MIFO_TEST_S", "hello", 1);
   EXPECT_EQ(env_string("MIFO_TEST_S", "x"), "hello");

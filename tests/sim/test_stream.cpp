@@ -52,25 +52,89 @@ TEST(RunStream, MatchesBatchRunUnderBgp) {
 
   SimConfig cfg;
   cfg.mode = RoutingMode::Bgp;
-  FluidSim batch(g, cfg);
-  const auto want = batch.run(specs);
+  // The second input adds a seeded chaos capacity schedule, so the
+  // capacity-event path both engines share is compared as well.
+  chaos::GenParams gen;
+  gen.seed = 5;
+  gen.duration = 1.0;
+  gen.rate = 8.0;
+  const chaos::Plan plan = chaos::generate_plan(g, gen);
+  for (const bool with_chaos : {false, true}) {
+    SCOPED_TRACE(with_chaos ? "chaos capacity schedule" : "static capacity");
+    FluidSim batch(g, cfg);
+    FluidSim stream(g, cfg);
+    batch.enable_sampling(0.05);  // one load scan feeds both engines' samples
+    stream.enable_sampling(0.05);
+    if (with_chaos) {
+      ASSERT_GT(chaos::apply_to_fluid(plan, g, batch), 0u);
+      ASSERT_GT(chaos::apply_to_fluid(plan, g, stream), 0u);
+    }
+    const auto want = batch.run(specs);
+    const StreamResult res = stream.run_stream(specs, StreamConfig{});
 
-  FluidSim stream(g, cfg);
-  StreamConfig sc;
-  const StreamResult res = stream.run_stream(specs, sc);
+    ASSERT_EQ(res.records.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(res.records[i].unreachable, want[i].unreachable) << i;
+      ASSERT_EQ(res.records[i].completed, want[i].completed) << i;
+      if (!want[i].completed) continue;
+      EXPECT_NEAR(res.records[i].finish, want[i].finish, 1e-6) << i;
+      EXPECT_NEAR(res.records[i].throughput(), want[i].throughput(),
+                  1e-4 * want[i].throughput() + 1e-6)
+          << i;
+    }
+    EXPECT_FALSE(res.truncated);
+    EXPECT_GT(res.peak_active, 1u);
 
-  ASSERT_EQ(res.records.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(res.records[i].unreachable, want[i].unreachable) << i;
-    ASSERT_EQ(res.records[i].completed, want[i].completed) << i;
-    if (!want[i].completed) continue;
-    EXPECT_NEAR(res.records[i].finish, want[i].finish, 1e-6) << i;
-    EXPECT_NEAR(res.records[i].throughput(), want[i].throughput(),
-                1e-4 * want[i].throughput() + 1e-6)
-        << i;
+    ASSERT_EQ(stream.samples().size(), batch.samples().size());
+    ASSERT_FALSE(batch.samples().empty());
+    for (std::size_t i = 0; i < batch.samples().size(); ++i) {
+      const obs::UtilSample& b = batch.samples()[i];
+      const obs::UtilSample& s = stream.samples()[i];
+      EXPECT_EQ(s.t, b.t) << i;
+      EXPECT_EQ(s.active_flows, b.active_flows) << i;
+      EXPECT_NEAR(s.max_util, b.max_util, 1e-6) << i;
+      EXPECT_NEAR(s.total_spare_mbps, b.total_spare_mbps, 1e-3) << i;
+    }
   }
-  EXPECT_FALSE(res.truncated);
-  EXPECT_GT(res.peak_active, 1u);
+}
+
+// Both entry points share one event loop. Once every flow has completed,
+// re-evaluation ticks pause; an arrival more than one tick later must
+// resume them on the interval grid, never schedule a tick in the past
+// (the loop asserts that events move forward in time).
+TEST(RunStream, IdleGapResumesTicksInBothEngines) {
+  const AsGraph g = stream_graph(60, 3);
+  traffic::TrafficParams tp;
+  tp.num_flows = 2;
+  tp.flow_size = 1 * kMegaByte;
+  tp.seed = 3;
+  auto specs = traffic::uniform_traffic(g, tp);
+  ASSERT_EQ(specs.size(), 2u);
+  specs[0].arrival = 0.0;
+  specs[1].arrival = 5.0;
+
+  for (const RoutingMode mode : {RoutingMode::Miro, RoutingMode::Mifo}) {
+    SimConfig cfg;
+    cfg.mode = mode;
+    FluidSim batch(g, cfg);
+    batch.set_deployment(std::vector<bool>(g.num_ases(), true));
+    const auto want = batch.run(specs);
+    FluidSim stream(g, cfg);
+    stream.set_deployment(std::vector<bool>(g.num_ases(), true));
+    const StreamResult res = stream.run_stream(specs, StreamConfig{});
+
+    ASSERT_EQ(want.size(), 2u) << to_string(mode);
+    ASSERT_EQ(res.records.size(), 2u) << to_string(mode);
+    for (std::size_t i = 0; i < 2; ++i) {
+      ASSERT_FALSE(want[i].unreachable) << to_string(mode) << " " << i;
+      EXPECT_TRUE(want[i].completed) << to_string(mode) << " " << i;
+      EXPECT_TRUE(res.records[i].completed) << to_string(mode) << " " << i;
+      EXPECT_GT(want[i].finish, want[i].spec.arrival);
+      EXPECT_NEAR(res.records[i].finish, want[i].finish, 1e-9)
+          << to_string(mode) << " " << i;
+    }
+    EXPECT_NEAR(res.duration, want[1].finish, 1e-9) << to_string(mode);
+  }
 }
 
 TEST(RunStream, GoodputSeriesConservesDeliveredBytes) {

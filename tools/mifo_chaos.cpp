@@ -19,13 +19,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "obs/artifact.hpp"
 #include "obs/exposition.hpp"
@@ -97,6 +97,10 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    const auto take = [](const auto& parsed, auto& out) {
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
     if (arg == "--plan" && (v = next())) {
       opt.plan_file = v;
     } else if (arg == "--gen") {
@@ -104,19 +108,19 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--topo" && (v = next())) {
       opt.topo_file = v;
     } else if (arg == "--ases" && (v = next())) {
-      opt.ases = static_cast<std::size_t>(std::atoll(v));
+      if (!take(parse_u64(v), opt.ases)) return false;
     } else if (arg == "--seed" && (v = next())) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!take(parse_u64(v), opt.seed)) return false;
     } else if (arg == "--duration" && (v = next())) {
-      opt.duration = std::atof(v);
+      if (!take(parse_double(v), opt.duration)) return false;
     } else if (arg == "--rate" && (v = next())) {
-      opt.rate = std::atof(v);
+      if (!take(parse_double(v), opt.rate)) return false;
     } else if (arg == "--mttr" && (v = next())) {
-      opt.mttr = std::atof(v);
+      if (!take(parse_double(v), opt.mttr)) return false;
     } else if (arg == "--dests" && (v = next())) {
-      opt.dests = static_cast<std::size_t>(std::atoll(v));
+      if (!take(parse_u64(v), opt.dests)) return false;
     } else if (arg == "--flows" && (v = next())) {
-      opt.flows = static_cast<std::size_t>(std::atoll(v));
+      if (!take(parse_u64(v), opt.flows)) return false;
     } else if (arg == "--verify-mode" && (v = next())) {
       const std::string mode = v;
       if (mode == "full") {

@@ -18,7 +18,6 @@
 // of byte-identical artifacts are themselves byte-identical.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -26,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "obs/artifact.hpp"
 
 using namespace mifo;
@@ -61,13 +61,17 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    const auto take = [](const auto& parsed, auto& out) {
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
     if (arg == "--flow" && (v = next())) {
-      opt.flow = static_cast<std::uint64_t>(std::atoll(v));
+      if (!take(parse_u64(v), opt.flow)) return false;
       opt.have_flow = true;
     } else if (arg == "--flows" && (v = next())) {
-      opt.max_flows = static_cast<std::size_t>(std::atoll(v));
+      if (!take(parse_u64(v), opt.max_flows)) return false;
     } else if (arg == "--links" && (v = next())) {
-      opt.links = static_cast<std::size_t>(std::atoll(v));
+      if (!take(parse_u64(v), opt.links)) return false;
     } else if (arg == "--check") {
       opt.check = true;
     } else if (opt.path.empty() && !arg.empty() && arg[0] != '-') {

@@ -20,13 +20,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/env.hpp"
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/analysis.hpp"
@@ -84,22 +84,23 @@ bool parse_args(int argc, char** argv, Options& opt) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    const auto take = [](const auto& parsed, auto& out) {
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
     if (arg == "--topo") {
       const char* v = next();
       if (!v) return false;
       opt.topo_file = v;
     } else if (arg == "--gen") {
       const char* v = next();
-      if (!v) return false;
-      opt.gen_ases = static_cast<std::size_t>(std::atoll(v));
+      if (!v || !take(parse_u64(v), opt.gen_ases)) return false;
     } else if (arg == "--seed") {
       const char* v = next();
-      if (!v) return false;
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!v || !take(parse_u64(v), opt.seed)) return false;
     } else if (arg == "--dests") {
       const char* v = next();
-      if (!v) return false;
-      opt.dests = static_cast<std::size_t>(std::atoll(v));
+      if (!v || !take(parse_u64(v), opt.dests)) return false;
     } else if (arg == "--expand-tier1") {
       opt.expand_tier1 = true;
     } else if (arg == "--mutate-valley") {
