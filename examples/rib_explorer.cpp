@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "bgp/path_count.hpp"
 #include "bgp/routing.hpp"
@@ -26,7 +28,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    g = topo::parse(in);
+    std::string error;
+    auto parsed = topo::parse(in, error);
+    if (!parsed) {
+      std::fprintf(stderr, "%s: %s\n", argv[1], error.c_str());
+      return 1;
+    }
+    g = std::move(*parsed);
     std::printf("loaded %s: %s\n", argv[1],
                 topo::attributes_report(topo::attributes(g)).c_str());
   } else {

@@ -273,6 +273,38 @@ expect_usage "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
   --links abc
 echo "CLI flags OK: negative and non-numeric counts rejected"
 
+echo "=== malformed inputs: bad topology files and plans are errors ==="
+# A malformed topology line or a plan event naming an AS outside the
+# topology must exit 1 with a message that names the input — never abort
+# (134) or crash (139).
+expect_input_error() {
+  local input="$1" err status=0
+  shift
+  err="$("$@" 2>&1 > /dev/null)" || status=$?
+  if [[ $status -ne 1 ]] || ! grep -qF "$input" <<< "$err"; then
+    echo "expected an input error (exit 1) naming $input from: $* (exit $status)"
+    echo "$err"
+    exit 1
+  fi
+}
+bad_dir="$artifact_dir/malformed"
+mkdir -p "$bad_dir"
+printf '0 0 p2c\n' > "$bad_dir/self_loop.topo"
+printf '0 1 bogus\n' > "$bad_dir/unknown_kind.topo"
+printf '# nodes 5\n0 1\n' > "$bad_dir/short_line.topo"
+printf 'at 0.1 link-down 0 99999\n' > "$bad_dir/link_down.plan"
+printf 'at 0.1 degrade 0 99999 0.5\n' > "$bad_dir/degrade.plan"
+printf 'at 0.1 ibgp-drop 99999\n' > "$bad_dir/ibgp_drop.plan"
+for topo in "$bad_dir"/*.topo; do
+  expect_input_error "$topo" "$build_dir"/tools/mifo-verify --topo "$topo" -q
+  expect_input_error "$topo" "$build_dir"/tools/mifo-chaos --topo "$topo" -q
+done
+for plan in "$bad_dir"/*.plan; do
+  expect_input_error "$plan" "$build_dir"/tools/mifo-chaos --ases 20 \
+    --plan "$plan" -q
+done
+echo "malformed inputs OK: 3 topology files x 2 tools and 3 plans rejected"
+
 echo "=== sharded plane: sharded-vs-serial differential gate ==="
 # The scaling bench doubles as the full-scale differential: every worker
 # count must reproduce the serial oracle's outcome digest (per-flow

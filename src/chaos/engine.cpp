@@ -157,10 +157,7 @@ Engine::Engine(testbed::Emulation& em, const topo::AsGraph& g,
       g_(&g),
       cfg_(cfg),
       route_ctl_(em, g),
-      rng_(hash_combine(cfg.seed, 0xc4a06)),
-      inc_(verify::IncrementalConfig{.lint = cfg.lint,
-                                     .valley = cfg.valley,
-                                     .blackhole = false}) {
+      rng_(hash_combine(cfg.seed, 0xc4a06)) {
   owners_.reserve(em.hosts.size());
   for (const auto& att : em.hosts) owners_.emplace_back(att.addr, att.as);
   if (cfg_.verify_mode != VerifyMode::Full) {
@@ -205,22 +202,17 @@ Engine::FullVerdict Engine::run_full_provers() const {
   for (const auto& cycle : loop_check.cycles) {
     out.cycles.push_back(cycle.to_string());
   }
-  if (cfg_.valley) {
-    const auto vc = verify::check_valley_freedom(net);
-    out.states_explored += vc.stats.states;
-    for (const auto& v : vc.violations) out.valleys.push_back(v.to_string());
-  }
-  if (cfg_.lint) {
-    for (const auto& issue : verify::lint_deployment(
-             net, *route_ctl_.delta().graph(), em_->daemons, owners_)) {
-      out.lints.push_back(issue.to_string());
-    }
+  const auto vc = verify::check_valley_freedom(net);
+  out.states_explored += vc.stats.states;
+  for (const auto& v : vc.violations) out.valleys.push_back(v.to_string());
+  for (const auto& issue : verify::lint_deployment(
+           net, *route_ctl_.delta().graph(), em_->daemons, owners_)) {
+    out.lints.push_back(issue.to_string());
   }
   return out;
 }
 
 bool Engine::snapshot(Report& report, SimTime t) {
-  if (!cfg_.verify) return true;
   ++report.checks_run;
   if (shard_) shard_->add(m_checks_);
 
@@ -657,6 +649,8 @@ std::pair<bool, std::string> Engine::apply(const Event& ev) {
 
 Report Engine::run(const Plan& plan) {
   MIFO_EXPECTS(em_ != nullptr);
+  std::string plan_error;
+  MIFO_EXPECTS(check_plan(plan, *g_, plan_error));
   dp::Network& net = *em_->net;
   Report report;
   report.verify_mode = cfg_.verify_mode;
@@ -765,7 +759,7 @@ Report Engine::run(const Plan& plan) {
   if (planted_violation_) {
     // A planted ring is expected to be caught; "safe" keeps meaning "the
     // verifier found nothing", so the caller sees safe == false here.
-    MIFO_ASSERT(!report.safe || !cfg_.verify);
+    MIFO_ASSERT(!report.safe);
   }
   return report;
 }

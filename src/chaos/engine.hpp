@@ -55,13 +55,6 @@ struct EngineConfig {
   /// Delay after each event before the reconvergence snapshot; keep it a
   /// few daemon intervals so the tick between event and snapshot is real.
   SimTime reconv_delay = 0.05;
-  /// Re-run verify:: at every snapshot (the whole point; off only for
-  /// throughput-only benches where verification cost would dominate).
-  bool verify = true;
-  /// Include the FIB/RIB lint pass in each snapshot.
-  bool lint = true;
-  /// Include the Gao–Rexford valley-freedom prover in each snapshot.
-  bool valley = true;
   /// Proof strategy per snapshot (see VerifyMode).
   VerifyMode verify_mode = VerifyMode::Full;
   /// Extra settle time after the last event before the final snapshot.
@@ -170,7 +163,8 @@ class Engine {
   void attach_registry(obs::Registry& reg, const std::string& labels);
 
   /// Runs the plan to completion (events, snapshots, final drain) and
-  /// returns the report. Call once per engine.
+  /// returns the report. Call once per engine. Every event's ASes must lie
+  /// in the graph (check_plan).
   [[nodiscard]] Report run(const Plan& plan);
 
   [[nodiscard]] RouteController& route_controller() { return route_ctl_; }

@@ -272,6 +272,37 @@ std::optional<Plan> parse_plan(const std::string& text, std::string& error) {
   return parse_plan(in, error);
 }
 
+bool check_plan(const Plan& plan, const topo::AsGraph& g, std::string& error) {
+  for (const Event& ev : plan.events) {
+    std::size_t subjects = 1;
+    switch (ev.kind) {
+      case EventKind::LinkDown:
+      case EventKind::LinkUp:
+      case EventKind::Degrade:
+      case EventKind::Restore:
+      case EventKind::Burst:
+        subjects = 2;
+        break;
+      case EventKind::PlantValley:
+      case EventKind::PlantStaleRoute:
+        subjects = 0;
+        break;
+      default:
+        break;
+    }
+    const AsId ids[] = {ev.a, ev.b};
+    for (std::size_t i = 0; i < subjects; ++i) {
+      const AsId as = ids[i];
+      if (as.valid() && as.value() < g.num_ases()) continue;
+      error = "event '" + ev.to_string() + "' names AS " +
+              std::to_string(as.value()) + ", outside the topology's " +
+              std::to_string(g.num_ases()) + " ASes";
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string format_plan(const Plan& plan) {
   std::string out = "duration " + std::to_string(plan.duration) + "\n";
   for (const Event& ev : plan.events) out += ev.to_string() + "\n";

@@ -91,6 +91,14 @@ struct Plan {
 [[nodiscard]] std::optional<Plan> parse_plan(const std::string& text,
                                              std::string& error);
 
+/// Checks every event's AS ids against `g`: links and bursts name two ASes,
+/// prefix, iBGP and router events one, planted violations none. Returns
+/// false and names the first event with an AS outside `g` in `error`. The
+/// parser cannot do this, since a plan is written without its topology;
+/// run it before handing the plan to an Engine.
+[[nodiscard]] bool check_plan(const Plan& plan, const topo::AsGraph& g,
+                              std::string& error);
+
 /// Renders a plan back into the DSL (round-trips through parse_plan).
 [[nodiscard]] std::string format_plan(const Plan& plan);
 

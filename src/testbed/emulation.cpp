@@ -1,13 +1,16 @@
 #include "testbed/emulation.hpp"
 
+#include <type_traits>
+
 #include "common/contracts.hpp"
 #include "testbed/wiring.hpp"
 
 namespace mifo::testbed {
 
-void Emulation::enable_mifo(const std::vector<AsId>& ases,
-                            const dp::RouterConfig& base_config,
-                            SimTime daemon_interval) {
+template <typename NetT>
+void BasicEmulation<NetT>::enable_mifo(const std::vector<AsId>& ases,
+                                       const dp::RouterConfig& base_config,
+                                       SimTime daemon_interval) {
   for (const AsId as : ases) {
     MIFO_EXPECTS(as.value() < daemons.size());
     for (const RouterId r : wirings[as.value()].routers) {
@@ -16,20 +19,28 @@ void Emulation::enable_mifo(const std::vector<AsId>& ases,
       net->router(r).config() = cfg;
     }
     core::MifoDaemon* daemon = daemons[as.value()].get();
-    net->add_periodic(daemon_interval,
-                      [daemon](dp::Network& n, SimTime now) {
-                        daemon->tick(n, now);
-                      });
+    const auto tick = [daemon](dp::Network& n, SimTime now) {
+      daemon->tick(n, now);
+    };
+    if constexpr (std::is_same_v<NetT, dp::ShardedNetwork>) {
+      net->add_periodic(as, daemon_interval, tick);
+    } else {
+      net->add_periodic(daemon_interval, tick);
+    }
   }
 }
 
-const HostAttachment& Emulation::attachment(HostId h) const {
+template <typename NetT>
+const HostAttachment& BasicEmulation<NetT>::attachment(HostId h) const {
   for (const auto& a : hosts) {
     if (a.host == h) return a;
   }
   MIFO_EXPECTS(false && "unknown host");
   return hosts.front();  // unreachable
 }
+
+template struct BasicEmulation<dp::Network>;
+template struct BasicEmulation<dp::ShardedNetwork>;
 
 EmulationBuilder::EmulationBuilder(const topo::AsGraph& g,
                                    std::vector<bool> expand,
@@ -45,8 +56,18 @@ HostId EmulationBuilder::attach_host(AsId as) {
 }
 
 Emulation EmulationBuilder::finalize() {
-  Emulation em;
-  em.net = std::make_unique<dp::Network>();
+  return build(std::make_unique<dp::Network>());
+}
+
+ShardedEmulation EmulationBuilder::finalize(std::size_t num_shards,
+                                            dp::ShardConfig cfg) {
+  return build(std::make_unique<dp::ShardedNetwork>(num_shards, cfg));
+}
+
+template <typename NetT>
+BasicEmulation<NetT> EmulationBuilder::build(std::unique_ptr<NetT> net) {
+  BasicEmulation<NetT> em;
+  em.net = std::move(net);
   em.plan = std::make_unique<bgp::IbgpPlan>(g_, expand_);
 
   std::vector<std::vector<core::PrefixRoutes>> prefix_routes;
@@ -59,7 +80,6 @@ Emulation EmulationBuilder::finalize() {
     em.daemons.push_back(std::make_unique<core::MifoDaemon>(
         em.wirings[i], std::move(prefix_routes[i])));
   }
-
   return em;
 }
 

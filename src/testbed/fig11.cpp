@@ -1,5 +1,7 @@
 #include "testbed/fig11.hpp"
 
+#include <utility>
+
 #include "common/contracts.hpp"
 
 namespace mifo::testbed {
@@ -22,10 +24,9 @@ topo::AsGraph fig11_graph() {
   return g;
 }
 
-Fig12Result run_fig12(const Fig12Params& params) {
+EmulationBuilder fig11_builder(const topo::AsGraph& g) {
   const Fig11Ids ids;
-  const topo::AsGraph g = fig11_graph();
-
+  MIFO_EXPECTS(g.num_ases() == 6);
   // Expand the transit ASes to border-router granularity: AS3 gets four
   // border routers (including Rd towards AS4 and Ra towards AS6), AS4 and
   // AS6 two each; the stub ASes collapse — 11 routers total.
@@ -34,13 +35,22 @@ Fig12Result run_fig12(const Fig12Params& params) {
   expand[ids.as4.value()] = true;
   expand[ids.as6.value()] = true;
 
-  EmulationBuilder builder(g, expand);
-  const HostId s1 = builder.attach_host(ids.as1);
-  const HostId s2 = builder.attach_host(ids.as2);
-  const HostId d1 = builder.attach_host(ids.as5);
-  const HostId d2 = builder.attach_host(ids.as5);
-  Emulation em = builder.finalize();
+  EmulationBuilder builder(g, std::move(expand));
+  for (const AsId as : {ids.as1, ids.as2, ids.as5, ids.as5}) {
+    builder.attach_host(as);
+  }
+  return builder;
+}
+
+Fig12Result run_fig12(const Fig12Params& params) {
+  const Fig11Ids ids;
+  const topo::AsGraph g = fig11_graph();
+  Emulation em = fig11_builder(g).finalize();
   dp::Network& net = *em.net;
+  const HostId s1 = em.hosts[0].host;
+  const HostId s2 = em.hosts[1].host;
+  const HostId d1 = em.hosts[2].host;
+  const HostId d2 = em.hosts[3].host;
 
   if (params.mifo) {
     em.enable_mifo({ids.as3}, params.router_config, params.daemon_interval);

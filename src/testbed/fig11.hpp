@@ -31,6 +31,12 @@ struct Fig11Ids {
 /// The Fig. 11 AS graph.
 [[nodiscard]] topo::AsGraph fig11_graph();
 
+/// The Fig. 11 deployment on `g` (fig11_graph(), which must outlive the
+/// builder): AS3, AS4 and AS6 at border-router level, hosts S1 at AS1, S2
+/// at AS2, and D1, D2 at AS5 — host ids 0..3 in that order. finalize()
+/// builds it on the serial engine, finalize(n) on n forwarding workers.
+[[nodiscard]] EmulationBuilder fig11_builder(const topo::AsGraph& g);
+
 struct Fig12Params {
   /// Paper: 30 flows per source pair, 100 MB each, 1 KB packets. Defaults
   /// are scaled to 10 MB for sub-minute runs; override for paper scale.

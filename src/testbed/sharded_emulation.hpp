@@ -1,7 +1,8 @@
-// Sharded testbed emulation: the EmulationBuilder counterpart that wires the
-// same AS graph into a dp::ShardedNetwork (DESIGN.md §6), plus the scaled
-// Fig. 12-style scenario the multi-worker benchmarks and the sharded-vs-
-// serial differential gate run.
+// The scaled Fig. 12-style scenario the multi-worker benchmarks and the
+// sharded-vs-serial differential gate run (DESIGN.md §6). It builds one
+// deployment through the one EmulationBuilder and runs it on the engine
+// ScaledParams::num_shards names, so the serial oracle and the sharded plane
+// differ only in their engines.
 //
 // The paper's testbed is 15 machines; the scaled scenario generates an
 // Internet-like topology (topo::generate_topology) and expands transit ASes
@@ -10,56 +11,19 @@
 // workers start paying off.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bgp/ibgp.hpp"
-#include "core/daemon.hpp"
 #include "dataplane/shard.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/as_graph.hpp"
 
 namespace mifo::testbed {
 
-/// The finished sharded emulation. Same shape as `Emulation` but the packet
-/// plane runs on MIFO_THREADS forwarding workers.
-struct ShardedEmulation {
-  std::unique_ptr<dp::ShardedNetwork> net;
-  std::unique_ptr<bgp::IbgpPlan> plan;
-  std::vector<HostAttachment> hosts;
-  std::vector<core::AsWiring> wirings;                     // indexed by AS id
-  std::vector<std::unique_ptr<core::MifoDaemon>> daemons;  // indexed by AS id
-
-  /// Turns MIFO on for the given ASes. Each AS's daemon tick registers as a
-  /// periodic on the shard that owns the AS, so the control plane runs
-  /// exactly where its routers' monitor state lives — no cross-shard reads.
-  void enable_mifo(const std::vector<AsId>& ases,
-                   const dp::RouterConfig& base_config,
-                   SimTime daemon_interval = 0.01);
-
-  [[nodiscard]] const HostAttachment& attachment(HostId h) const;
-};
-
-class ShardedEmulationBuilder {
- public:
-  ShardedEmulationBuilder(const topo::AsGraph& g, std::vector<bool> expand,
-                          BuildParams params = {});
-
-  /// Attach a host to the AS (to its first router). Must precede finalize.
-  HostId attach_host(AsId as);
-
-  /// Wires everything into `num_shards` forwarding workers.
-  [[nodiscard]] ShardedEmulation finalize(std::size_t num_shards,
-                                          dp::ShardConfig cfg = {});
-
- private:
-  const topo::AsGraph& g_;
-  std::vector<bool> expand_;
-  BuildParams params_;
-  std::vector<AsId> pending_hosts_;
-};
+/// The builder's former sharded-only name, kept for perfbench, its one
+/// user; drop it when the benchmark next changes.
+using ShardedEmulationBuilder = EmulationBuilder;
 
 // --- scaled Fig. 12-style scenario -------------------------------------------
 
@@ -95,8 +59,8 @@ struct ScaledParams {
   /// two barriers over.
   BuildParams build{.ebgp_delay = 500e-6};
 
-  /// 0 = serial dp::Network oracle (EmulationBuilder); >= 1 = sharded plane
-  /// with that many forwarding workers.
+  /// 0 = serial dp::Network oracle; >= 1 = sharded plane with that many
+  /// forwarding workers.
   std::size_t num_shards = 0;
   dp::ShardConfig shard{};
 };

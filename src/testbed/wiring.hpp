@@ -1,13 +1,13 @@
-// Network-wiring template shared by the serial and the sharded emulation
-// builders (emulation.cpp / sharded_emulation.cpp), and the per-prefix
-// FIB/daemon programming the live route controller reuses.
+// Network wiring behind EmulationBuilder's one build path (emulation.cpp),
+// and the per-prefix FIB/daemon programming the live route controller
+// reuses.
 //
 // `NetT` is dp::Network or dp::ShardedNetwork — both expose the same
 // construction surface (add_router/connect_ebgp/connect_ibgp/add_host/
-// connect_host/host_addr/router). Keeping one template instead of two copies
-// is what makes the differential guarantee meaningful: the serial oracle and
-// the sharded plane are wired by the *same* code, so an outcome difference
-// can only come from the engines.
+// connect_host/host_addr/router). One template for both engines is what
+// makes the differential guarantee meaningful: the serial oracle and the
+// sharded plane are wired, programmed and given their daemons by the *same*
+// code, so an outcome difference can only come from the engines.
 #pragma once
 
 #include <optional>

@@ -55,6 +55,13 @@ Plan parse_or_die(const std::string& text) {
   return plan.value_or(Plan{});
 }
 
+TEST(ChaosEngineDeathTest, PlanNamingAnAsOutsideTheGraphIsAPrecondition) {
+  Fixture f = Fixture::make(5);
+  const Plan plan = parse_or_die("duration 0.2\nat 0.1 ibgp-drop 99999\n");
+  Engine engine(f.em, f.g);
+  EXPECT_DEATH((void)engine.run(plan), "Precondition");
+}
+
 TEST(ChaosEngine, LinkFlapStaysSafeAndFlowsComplete) {
   Fixture f = Fixture::make(5);
   f.start_flow(2 * kMegaByte);

@@ -122,6 +122,34 @@ TEST(ChaosPlan, MalformedInputYieldsErrorNotPlan) {
   EXPECT_FALSE(parse_plan("fail 0.1 mttr 0.1 teapot 1\n", error).has_value());
 }
 
+TEST(ChaosPlan, CheckRejectsEventsNamingAsesOutsideTheGraph) {
+  topo::GeneratorParams gp;
+  gp.num_ases = 20;
+  gp.seed = 1;
+  const topo::AsGraph g = topo::generate_topology(gp);
+  std::string error;
+  const auto every_kind = parse_plan(
+      "at 0.1 link-down 0 19\nat 0.2 degrade 0 19 0.5\n"
+      "at 0.3 ibgp-drop 19\nat 0.4 burst 0 19 2 1.0\nat 0.5 plant-valley\n",
+      error);
+  ASSERT_TRUE(every_kind.has_value()) << error;
+  EXPECT_TRUE(check_plan(*every_kind, g, error)) << error;
+
+  for (const char* line :
+       {"at 0.1 link-down 0 99999\n", "at 0.1 degrade 0 99999 0.5\n",
+        "at 0.1 ibgp-drop 99999\n", "at 0.1 restore 20 0\n",
+        "at 0.1 withdraw 20\n", "at 0.1 freeze 4294967295\n",
+        "at 0.1 burst 0 20 1 1.0\n", "fail 0.1 mttr 0.2 router 20\n"}) {
+    SCOPED_TRACE(line);
+    const auto plan = parse_plan(std::string("duration 1\n") + line, error);
+    ASSERT_TRUE(plan.has_value()) << error;
+    error.clear();
+    EXPECT_FALSE(check_plan(*plan, g, error));
+    EXPECT_NE(error.find("outside the topology's 20 ASes"), std::string::npos)
+        << error;
+  }
+}
+
 TEST(ChaosPlan, RecoveryKindPairing) {
   EXPECT_EQ(recovery_of(EventKind::LinkDown), EventKind::LinkUp);
   EXPECT_EQ(recovery_of(EventKind::Degrade), EventKind::Restore);

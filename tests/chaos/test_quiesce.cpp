@@ -11,43 +11,18 @@
 
 #include "chaos/quiesce.hpp"
 #include "testbed/fig11.hpp"
-#include "testbed/sharded_emulation.hpp"
 #include "verify/deflection_graph.hpp"
 
 namespace mifo::chaos {
 namespace {
 
-using testbed::EmulationBuilder;
 using testbed::Fig11Ids;
-using testbed::ShardedEmulationBuilder;
-
-struct Fixture {
-  Fig11Ids ids;
-  topo::AsGraph g = testbed::fig11_graph();
-  std::vector<bool> expand;
-
-  Fixture() : expand(g.num_ases(), false) {
-    expand[ids.as3.value()] = true;
-    expand[ids.as4.value()] = true;
-    expand[ids.as6.value()] = true;
-  }
-
-  template <typename BuilderT>
-  void attach_hosts(BuilderT& b) const {
-    b.attach_host(ids.as1);
-    b.attach_host(ids.as2);
-    b.attach_host(ids.as5);
-    b.attach_host(ids.as5);
-  }
-};
 
 TEST(ShardedQuiescence, UntouchedPlaneIsQuiescentAndSnapshotMatchesSerial) {
-  const Fixture fx;
-
-  ShardedEmulationBuilder sb(fx.g, fx.expand);
-  fx.attach_hosts(sb);
-  testbed::ShardedEmulation em = sb.finalize(4);
-  em.enable_mifo({fx.ids.as3}, dp::RouterConfig{}, 0.0050003);
+  const Fig11Ids ids;
+  const topo::AsGraph g = testbed::fig11_graph();
+  testbed::ShardedEmulation em = testbed::fig11_builder(g).finalize(4);
+  em.enable_mifo({ids.as3}, dp::RouterConfig{}, 0.0050003);
 
   // No packet ever injected: the very first barrier is a quiescent point.
   EXPECT_TRUE(is_quiescent(*em.net));
@@ -58,10 +33,8 @@ TEST(ShardedQuiescence, UntouchedPlaneIsQuiescentAndSnapshotMatchesSerial) {
 
   // The snapshot is bit-identical wiring: the prover must explore the exact
   // same deflection graph as on the serially-built network.
-  EmulationBuilder ob(fx.g, fx.expand);
-  fx.attach_hosts(ob);
-  testbed::Emulation oracle = ob.finalize();
-  oracle.enable_mifo({fx.ids.as3}, dp::RouterConfig{}, 0.0050003);
+  testbed::Emulation oracle = testbed::fig11_builder(g).finalize();
+  oracle.enable_mifo({ids.as3}, dp::RouterConfig{}, 0.0050003);
 
   const verify::LoopCheck sharded = verify::check_loop_freedom(qp.routers);
   const verify::LoopCheck serial = verify::check_loop_freedom(*oracle.net);
@@ -73,11 +46,10 @@ TEST(ShardedQuiescence, UntouchedPlaneIsQuiescentAndSnapshotMatchesSerial) {
 }
 
 TEST(ShardedQuiescence, DetectsDrainUnderTrafficAndProvesLoopFreedom) {
-  const Fixture fx;
-  ShardedEmulationBuilder sb(fx.g, fx.expand);
-  fx.attach_hosts(sb);
-  testbed::ShardedEmulation em = sb.finalize(2);
-  em.enable_mifo({fx.ids.as3}, dp::RouterConfig{}, 0.0050003);
+  const Fig11Ids ids;
+  const topo::AsGraph g = testbed::fig11_graph();
+  testbed::ShardedEmulation em = testbed::fig11_builder(g).finalize(2);
+  em.enable_mifo({ids.as3}, dp::RouterConfig{}, 0.0050003);
 
   for (std::size_t pair = 0; pair < 2; ++pair) {
     dp::FlowParams fp;

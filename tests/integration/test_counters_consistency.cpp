@@ -27,18 +27,12 @@ RunResult run_fig11_workload(bool mifo, std::size_t flows_per_pair = 4,
                              Bytes flow_size = 2 * kMegaByte) {
   const auto g = fig11_graph();
   const Fig11Ids ids;
-  std::vector<bool> expand(g.num_ases(), false);
-  expand[ids.as3.value()] = true;
-  expand[ids.as4.value()] = true;
-  expand[ids.as6.value()] = true;
-
-  EmulationBuilder builder(g, expand);
-  const HostId s1 = builder.attach_host(ids.as1);
-  const HostId s2 = builder.attach_host(ids.as2);
-  const HostId d1 = builder.attach_host(ids.as5);
-  const HostId d2 = builder.attach_host(ids.as5);
-  RunResult r{builder.finalize(), 0};
+  RunResult r{fig11_builder(g).finalize(), 0};
   dp::Network& net = *r.em.net;
+  const HostId s1 = r.em.hosts[0].host;
+  const HostId s2 = r.em.hosts[1].host;
+  const HostId d1 = r.em.hosts[2].host;
+  const HostId d2 = r.em.hosts[3].host;
 
   if (mifo) r.em.enable_mifo({ids.as3}, dp::RouterConfig{});
 

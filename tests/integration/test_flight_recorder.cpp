@@ -33,17 +33,7 @@ struct TracedRun {
 TracedRun run_sharded_fig11(std::size_t shards, bool inject_fault) {
   const Fig11Ids ids;
   const topo::AsGraph g = fig11_graph();
-  std::vector<bool> expand(g.num_ases(), false);
-  expand[ids.as3.value()] = true;
-  expand[ids.as4.value()] = true;
-  expand[ids.as6.value()] = true;
-
-  ShardedEmulationBuilder builder(g, expand);
-  builder.attach_host(ids.as1);
-  builder.attach_host(ids.as2);
-  builder.attach_host(ids.as5);
-  builder.attach_host(ids.as5);
-  ShardedEmulation em = builder.finalize(shards);
+  ShardedEmulation em = fig11_builder(g).finalize(shards);
   em.enable_mifo({ids.as3}, dp::RouterConfig{}, 0.0050003);
   em.net->enable_tracing(4096);
 
@@ -126,17 +116,12 @@ TEST(ShardedFlightRecorder, HopPathMatchesSerialOracle) {
   // One uncongested flow, no ties: the serial tracer's walk is the ground
   // truth for the emulator's forwarding path, and the 4-worker merged
   // timeline must spell out the same router sequence.
-  const Fig11Ids ids;
   const topo::AsGraph g = fig11_graph();
-  std::vector<bool> expand(g.num_ases(), false);
-  expand[ids.as3.value()] = true;
-  expand[ids.as4.value()] = true;
-  expand[ids.as6.value()] = true;
 
   const auto run_one = [&](auto& em, auto& net) {
     dp::FlowParams fp;
-    fp.src = em.hosts[0].host;
-    fp.dst = em.hosts[1].host;
+    fp.src = em.hosts[0].host;  // S1
+    fp.dst = em.hosts[2].host;  // D1
     fp.size = 100 * 1000;
     fp.start = 1e-3;
     const FlowId id = net.start_flow(fp);
@@ -144,10 +129,7 @@ TEST(ShardedFlightRecorder, HopPathMatchesSerialOracle) {
     return id;
   };
 
-  EmulationBuilder sb(g, expand);
-  sb.attach_host(ids.as1);
-  sb.attach_host(ids.as5);
-  Emulation se = sb.finalize();
+  Emulation se = fig11_builder(g).finalize();
   obs::Tracer serial_tracer(4096);
   se.net->set_tracer(&serial_tracer);
   const FlowId serial_flow = run_one(se, *se.net);
@@ -156,10 +138,7 @@ TEST(ShardedFlightRecorder, HopPathMatchesSerialOracle) {
       hop_path(serial_tracer.events(), serial_flow.value());
   ASSERT_GE(serial_path.size(), 2u);
 
-  ShardedEmulationBuilder builder(g, expand);
-  builder.attach_host(ids.as1);
-  builder.attach_host(ids.as5);
-  ShardedEmulation em = builder.finalize(4);
+  ShardedEmulation em = fig11_builder(g).finalize(4);
   em.net->enable_tracing(4096);
   const FlowId sharded_flow = run_one(em, *em.net);
   ASSERT_TRUE(em.net->sender_flow(sharded_flow).done);
@@ -169,24 +148,15 @@ TEST(ShardedFlightRecorder, HopPathMatchesSerialOracle) {
 }
 
 TEST(ShardedFlightRecorder, FlowFilterAppliesToEveryWorkerTracer) {
-  const Fig11Ids ids;
   const topo::AsGraph g = fig11_graph();
-  std::vector<bool> expand(g.num_ases(), false);
-  expand[ids.as3.value()] = true;
-
-  ShardedEmulationBuilder builder(g, expand);
-  builder.attach_host(ids.as1);
-  builder.attach_host(ids.as5);
-  builder.attach_host(ids.as2);
-  builder.attach_host(ids.as5);
-  ShardedEmulation em = builder.finalize(4);
+  ShardedEmulation em = fig11_builder(g).finalize(4);
   em.net->enable_tracing(4096);
 
   std::vector<FlowId> flows;
   for (std::size_t pair = 0; pair < 2; ++pair) {
     dp::FlowParams fp;
-    fp.src = em.hosts[2 * pair].host;
-    fp.dst = em.hosts[2 * pair + 1].host;
+    fp.src = em.hosts[pair].host;
+    fp.dst = em.hosts[2 + pair].host;
     fp.size = 200 * 1000;
     fp.start = 1e-3 * static_cast<SimTime>(1 + pair);
     flows.push_back(em.net->start_flow(fp));
@@ -206,17 +176,11 @@ TEST(ShardedFlightRecorder, WorkerStatsAndHistogramsPublish) {
   const TracedRun ignored = run_sharded_fig11(2, false);
   (void)ignored;
 
-  const Fig11Ids ids;
   const topo::AsGraph g = fig11_graph();
-  std::vector<bool> expand(g.num_ases(), false);
-  expand[ids.as3.value()] = true;
-  ShardedEmulationBuilder builder(g, expand);
-  builder.attach_host(ids.as1);
-  builder.attach_host(ids.as5);
-  ShardedEmulation em = builder.finalize(4);
+  ShardedEmulation em = fig11_builder(g).finalize(4);
   dp::FlowParams fp;
-  fp.src = em.hosts[0].host;
-  fp.dst = em.hosts[1].host;
+  fp.src = em.hosts[0].host;  // S1
+  fp.dst = em.hosts[2].host;  // D1
   fp.size = 200 * 1000;
   fp.start = 1e-3;
   em.net->start_flow(fp);
@@ -275,7 +239,7 @@ TEST(ShardedFlightRecorder, PublishTwiceDoesNotDoubleCount) {
   const Fig11Ids ids;
   const topo::AsGraph g = fig11_graph();
   std::vector<bool> expand(g.num_ases(), false);
-  ShardedEmulationBuilder builder(g, expand);
+  EmulationBuilder builder(g, expand);
   builder.attach_host(ids.as1);
   builder.attach_host(ids.as5);
   ShardedEmulation em = builder.finalize(4);

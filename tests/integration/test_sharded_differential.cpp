@@ -88,10 +88,6 @@ TEST(ShardedDifferential, Fig11DeflectionMatchesSerialUnderMifo) {
   // stays bit-exact.
   const Fig11Ids ids;
   const topo::AsGraph g = fig11_graph();
-  std::vector<bool> expand(g.num_ases(), false);
-  expand[ids.as3.value()] = true;
-  expand[ids.as4.value()] = true;
-  expand[ids.as6.value()] = true;
 
   constexpr std::size_t kFlowsPerPair = 3;
   constexpr Bytes kFlowSize = 2 * kMegaByte;
@@ -111,24 +107,14 @@ TEST(ShardedDifferential, Fig11DeflectionMatchesSerialUnderMifo) {
   };
 
   // Serial oracle.
-  EmulationBuilder sb(g, expand);
-  sb.attach_host(ids.as1);
-  sb.attach_host(ids.as2);
-  sb.attach_host(ids.as5);
-  sb.attach_host(ids.as5);
-  Emulation se = sb.finalize();
+  Emulation se = fig11_builder(g).finalize();
   se.enable_mifo({ids.as3}, dp::RouterConfig{}, 0.0050003);
   const auto serial_ids = schedule(*se.net, se.hosts);
   se.net->run_until(120.0);
 
   for (const std::size_t shards : {2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedEmulationBuilder builder(g, expand);
-    builder.attach_host(ids.as1);
-    builder.attach_host(ids.as2);
-    builder.attach_host(ids.as5);
-    builder.attach_host(ids.as5);
-    ShardedEmulation em = builder.finalize(shards);
+    ShardedEmulation em = fig11_builder(g).finalize(shards);
     em.enable_mifo({ids.as3}, dp::RouterConfig{}, 0.0050003);
     const auto ids2 = schedule(*em.net, em.hosts);
     em.net->run_until(120.0);

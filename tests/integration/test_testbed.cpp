@@ -41,16 +41,7 @@ TEST(Fig11Graph, DefaultPathsGoThroughAs4) {
 TEST(EmulationBuilder, ElevenRoutersLikeThePaper) {
   const auto g = fig11_graph();
   const Fig11Ids ids;
-  std::vector<bool> expand(6, false);
-  expand[ids.as3.value()] = true;
-  expand[ids.as4.value()] = true;
-  expand[ids.as6.value()] = true;
-  EmulationBuilder b(g, expand);
-  b.attach_host(ids.as1);
-  b.attach_host(ids.as2);
-  b.attach_host(ids.as5);
-  b.attach_host(ids.as5);
-  Emulation em = b.finalize();
+  Emulation em = fig11_builder(g).finalize();
   EXPECT_EQ(em.net->num_routers(), 11u);  // 1+1+4+2+2
   EXPECT_EQ(em.net->num_hosts(), 4u);
   // AS3's wiring: 4 egresses, full mesh intra (4 routers -> 12 directed).
@@ -62,17 +53,14 @@ TEST(EmulationBuilder, ElevenRoutersLikeThePaper) {
 
 TEST(EmulationBuilder, FibsRouteEveryHostFromEveryRouter) {
   const auto g = fig11_graph();
-  const Fig11Ids ids;
-  std::vector<bool> expand(6, false);
-  expand[ids.as3.value()] = true;
-  EmulationBuilder b(g, expand);
-  const HostId h = b.attach_host(ids.as5);
-  Emulation em = b.finalize();
-  const dp::Addr addr = em.attachment(h).addr;
-  for (std::uint32_t r = 0; r < em.net->num_routers(); ++r) {
-    EXPECT_TRUE(
-        em.net->router(RouterId(r)).fib().lookup(addr).has_value())
-        << "router " << r;
+  Emulation em = fig11_builder(g).finalize();
+  for (const HostAttachment& att : em.hosts) {
+    const dp::Addr addr = em.attachment(att.host).addr;
+    for (std::uint32_t r = 0; r < em.net->num_routers(); ++r) {
+      EXPECT_TRUE(
+          em.net->router(RouterId(r)).fib().lookup(addr).has_value())
+          << "host " << att.host.value() << " router " << r;
+    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/engine.hpp"
@@ -226,7 +227,18 @@ int main(int argc, char** argv) {
                    opt.topo_file.c_str());
       return 1;
     }
-    g = topo::parse(in);
+    std::string error;
+    auto parsed = topo::parse(in, error);
+    if (parsed && parsed->num_ases() < 2) {
+      error = "a chaos run needs at least 2 ASes";
+      parsed.reset();
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "mifo-chaos: %s: %s\n", opt.topo_file.c_str(),
+                   error.c_str());
+      return 1;
+    }
+    g = std::move(*parsed);
   } else {
     topo::GeneratorParams gp;
     gp.num_ases = opt.ases;
@@ -285,7 +297,7 @@ int main(int argc, char** argv) {
     }
     std::string error;
     const auto parsed = chaos::parse_plan(in, error);
-    if (!parsed) {
+    if (!parsed || !chaos::check_plan(*parsed, g, error)) {
       std::fprintf(stderr, "mifo-chaos: %s: %s\n", opt.plan_file.c_str(),
                    error.c_str());
       return 1;

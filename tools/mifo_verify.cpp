@@ -158,7 +158,14 @@ int main(int argc, char** argv) {
                    opt.topo_file.c_str());
       return 1;
     }
-    g = topo::parse(in);
+    std::string error;
+    auto parsed = topo::parse(in, error);
+    if (!parsed) {
+      std::fprintf(stderr, "mifo-verify: %s: %s\n", opt.topo_file.c_str(),
+                   error.c_str());
+      return 1;
+    }
+    g = std::move(*parsed);
   } else {
     topo::GeneratorParams gp;
     gp.num_ases = opt.gen_ases;
