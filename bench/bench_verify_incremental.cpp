@@ -30,10 +30,7 @@
 #include "testbed/emulation.hpp"
 #include "testbed/sharded_emulation.hpp"
 #include "verify/changeset.hpp"
-#include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
-#include "verify/lint.hpp"
-#include "verify/valley.hpp"
 
 namespace {
 
@@ -78,14 +75,6 @@ Deployment build_deployment(std::size_t num_ases, std::size_t dests,
   return d;
 }
 
-std::vector<std::string> rendered(const auto& items) {
-  std::vector<std::string> out;
-  out.reserve(items.size());
-  for (const auto& item : items) out.push_back(item.to_string());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 struct ArmRow {
   std::string name;
   std::size_t dirty = 0;
@@ -105,25 +94,18 @@ ArmRow measure_arm(const std::string& name, Deployment& d,
   changes.drain(log);
   const auto res = inc.check(net, d.g, d.em.daemons, d.owners, changes);
   changes.clear();
-
-  const auto full_loop = verify::check_loop_freedom(net);
-  const auto full_valley = verify::check_valley_freedom(net);
-  const auto full_lint =
-      verify::lint_deployment(net, d.g, d.em.daemons, d.owners);
+  const auto full = verify::check_from_scratch(net, d.g, d.em.daemons,
+                                               d.owners, inc.config());
 
   ArmRow row;
   row.name = name;
   row.dirty = res.stats.dirty_destinations;
   row.states = res.stats.states_explored;
   row.cache_hits = res.stats.cache_hits;
-  row.full_states = full_loop.stats.states + full_valley.stats.states;
+  row.full_states = full.stats.states_explored;
   row.reduction = static_cast<double>(row.full_states) /
                   static_cast<double>(std::max<std::size_t>(1, row.states));
-  row.match =
-      full_loop.loop_free == res.loop.loop_free &&
-      rendered(full_loop.cycles) == rendered(res.loop.cycles) &&
-      rendered(full_valley.violations) == rendered(res.valley.violations) &&
-      rendered(full_lint) == rendered(res.lint);
+  row.match = verify::first_difference(res, full).empty();
   return row;
 }
 
@@ -252,12 +234,11 @@ void BM_FullProvers(benchmark::State& state) {
   const dp::Network& net = *d.em.net;
   std::size_t states = 0;
   for (auto _ : state) {
-    const auto lc = verify::check_loop_freedom(net);
-    const auto vc = verify::check_valley_freedom(net);
-    const auto lint = verify::lint_deployment(net, d.g, d.em.daemons,
-                                              d.owners);
-    states = lc.stats.states + vc.stats.states;
-    benchmark::DoNotOptimize(lc.loop_free && vc.valley_free && lint.empty());
+    const auto full =
+        verify::check_from_scratch(net, d.g, d.em.daemons, d.owners, {});
+    states = full.stats.states_explored;
+    benchmark::DoNotOptimize(full.loop.loop_free && full.valley.valley_free &&
+                             full.lint.empty());
   }
   state.counters["states"] = static_cast<double>(states);
 }

@@ -84,11 +84,11 @@ if mutated_out="$("$build_dir"/tools/mifo-verify --gen 120 --seed 7 \
 fi
 grep -q "COUNTEREXAMPLE" <<< "$mutated_out"
 grep -q "verdict: CYCLE-FOUND" <<< "$mutated_out"
-# Incremental mode (docs/VERIFICATION.md): the warm pass must be pure
-# cache on an unchanged deployment and the built-in differential pass must
-# report verdicts identical to the from-scratch full provers.
-inc_out="$("$build_dir"/tools/mifo-verify --gen 120 --seed 7 --dests 4 \
-  --incremental)"
+# Every run proves through the dirty-set engine (docs/VERIFICATION.md): the
+# warm pass must be pure cache on an unchanged deployment and the built-in
+# differential pass must report verdicts identical to the from-scratch full
+# provers.
+inc_out="$("$build_dir"/tools/mifo-verify --gen 120 --seed 7 --dests 4)"
 grep -q "cache hits" <<< "$inc_out"
 grep -q "differential: incremental verdicts identical" <<< "$inc_out"
 # Negative control: a planted forwarding blackhole (FIB entry evicted at a
@@ -101,7 +101,7 @@ if bh_out="$("$build_dir"/tools/mifo-verify --gen 120 --seed 7 --dests 4 \
 fi
 grep -q "blackhole\[no-route\]" <<< "$bh_out"
 grep -q "verdict: BLACKHOLE-FOUND" <<< "$bh_out"
-echo "verifier OK: both topologies proved loop-free, incremental mode" \
+echo "verifier OK: both topologies proved loop-free, incremental proofs" \
      "agreed with the full provers, planted cycle and blackhole caught"
 
 echo "=== mifo-chaos: safety under churn (docs/CHAOS.md) ==="
@@ -265,18 +265,21 @@ expect_usage() {
 expect_usage "$build_dir"/tools/mifo-chaos --gen --ases -5 -q
 expect_usage "$build_dir"/tools/mifo-chaos --gen --flows abc -q
 expect_usage "$build_dir"/tools/mifo-chaos --gen --duration 1x -q
+expect_usage "$build_dir"/tools/mifo-chaos --gen --verify-mode full -q
 expect_usage "$build_dir"/tools/mifo-verify --gen -5 -q
 expect_usage "$build_dir"/tools/mifo-verify --gen 60 --dests abc -q
 expect_usage "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
   --flows -3
 expect_usage "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
   --links abc
-echo "CLI flags OK: negative and non-numeric counts rejected"
+echo "CLI flags OK: negative and non-numeric counts and unknown modes" \
+     "rejected"
 
 echo "=== malformed inputs: bad topology files and plans are errors ==="
-# A malformed topology line or a plan event naming an AS outside the
-# topology must exit 1 with a message that names the input — never abort
-# (134) or crash (139).
+# A malformed topology line, a topology with fewer than 2 ASes, a plan
+# event naming an AS outside the topology, or an artifact nested past the
+# JSON depth bound must exit 1 with a message that names the input — never
+# abort (134), crash (139) or pass as a vacuous proof.
 expect_input_error() {
   local input="$1" err status=0
   shift
@@ -292,6 +295,8 @@ mkdir -p "$bad_dir"
 printf '0 0 p2c\n' > "$bad_dir/self_loop.topo"
 printf '0 1 bogus\n' > "$bad_dir/unknown_kind.topo"
 printf '# nodes 5\n0 1\n' > "$bad_dir/short_line.topo"
+: > "$bad_dir/empty.topo"
+printf '# nodes 1\n' > "$bad_dir/one_as.topo"
 printf 'at 0.1 link-down 0 99999\n' > "$bad_dir/link_down.plan"
 printf 'at 0.1 degrade 0 99999 0.5\n' > "$bad_dir/degrade.plan"
 printf 'at 0.1 ibgp-drop 99999\n' > "$bad_dir/ibgp_drop.plan"
@@ -303,7 +308,11 @@ for plan in "$bad_dir"/*.plan; do
   expect_input_error "$plan" "$build_dir"/tools/mifo-chaos --ases 20 \
     --plan "$plan" -q
 done
-echo "malformed inputs OK: 3 topology files x 2 tools and 3 plans rejected"
+python3 -c 'print("[" * 200000)' > "$bad_dir/deep.json"
+expect_input_error "$bad_dir/deep.json" "$build_dir"/tools/mifo-trace \
+  "$bad_dir/deep.json"
+echo "malformed inputs OK: 5 topology files x 2 tools, 3 plans and a" \
+     "deeply nested artifact rejected"
 
 echo "=== sharded plane: sharded-vs-serial differential gate ==="
 # The scaling bench doubles as the full-scale differential: every worker

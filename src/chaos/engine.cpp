@@ -19,8 +19,6 @@ std::uint64_t port_key(RouterId r, PortId p) {
 
 const char* to_string(VerifyMode m) {
   switch (m) {
-    case VerifyMode::Full:
-      return "full";
     case VerifyMode::Incremental:
       return "incremental";
     case VerifyMode::Differential:
@@ -160,9 +158,7 @@ Engine::Engine(testbed::Emulation& em, const topo::AsGraph& g,
       rng_(hash_combine(cfg.seed, 0xc4a06)) {
   owners_.reserve(em.hosts.size());
   for (const auto& att : em.hosts) owners_.emplace_back(att.addr, att.as);
-  if (cfg_.verify_mode != VerifyMode::Full) {
-    em.net->attach_change_log(&change_log_);
-  }
+  em.net->attach_change_log(&change_log_);
 }
 
 void Engine::attach_registry(obs::Registry& reg, const std::string& labels) {
@@ -192,26 +188,6 @@ std::uint64_t Engine::drop_sum() const {
   return total;
 }
 
-Engine::FullVerdict Engine::run_full_provers() const {
-  const dp::Network& net = *em_->net;
-  FullVerdict out;
-  const auto loop_check = verify::check_loop_freedom(net);
-  out.loop_free = loop_check.loop_free;
-  out.loop_stats = loop_check.stats;
-  out.states_explored = loop_check.stats.states;
-  for (const auto& cycle : loop_check.cycles) {
-    out.cycles.push_back(cycle.to_string());
-  }
-  const auto vc = verify::check_valley_freedom(net);
-  out.states_explored += vc.stats.states;
-  for (const auto& v : vc.violations) out.valleys.push_back(v.to_string());
-  for (const auto& issue : verify::lint_deployment(
-           net, *route_ctl_.delta().graph(), em_->daemons, owners_)) {
-    out.lints.push_back(issue.to_string());
-  }
-  return out;
-}
-
 bool Engine::snapshot(Report& report, SimTime t) {
   ++report.checks_run;
   if (shard_) shard_->add(m_checks_);
@@ -230,88 +206,51 @@ bool Engine::snapshot(Report& report, SimTime t) {
   }
 
   const dp::Network& net = *em_->net;
-  report.verify_mode = cfg_.verify_mode;
-  bool clean = true;
-  last_cost_ = verify::IncrementalStats{};
+  const topo::AsGraph& g = *route_ctl_.delta().graph();
+  changes_.drain(change_log_);
+  const verify::IncrementalResult inc =
+      inc_.check(net, g, em_->daemons, owners_, changes_);
+  changes_.clear();
+  report.last_stats = inc.loop.stats;
+  last_cost_ = inc.stats;
+  report.total_dirty_destinations += inc.stats.dirty_destinations;
+  report.total_cache_hits += inc.stats.cache_hits;
+  bool clean = inc.loop.loop_free && inc.valley.valley_free && inc.lint.empty();
 
-  const auto report_strings = [&](const char* label,
-                                  const std::vector<std::string>& items) {
-    for (const std::string& s : items) {
-      report.violations.push_back(
-          Violation{t, last_event_index_, std::string(label) + ": " + s});
+  const auto report_all = [&](const char* label, const auto& findings) {
+    for (const auto& f : findings) {
+      report.violations.push_back(Violation{
+          t, last_event_index_, std::string(label) + ": " + f.to_string()});
     }
   };
+  report_all("cycle", inc.loop.cycles);
+  report_all("valley", inc.valley.violations);
+  report_all("lint", inc.lint);
 
-  if (cfg_.verify_mode == VerifyMode::Full) {
-    const FullVerdict full = run_full_provers();
-    report.last_stats = full.loop_stats;
-    clean = full.loop_free && full.valleys.empty() && full.lints.empty();
-    report_strings("cycle", full.cycles);
-    report_strings("valley", full.valleys);
-    report_strings("lint", full.lints);
-    last_cost_.destinations = full.loop_stats.destinations;
-    last_cost_.dirty_destinations = full.loop_stats.destinations;
-    last_cost_.states_explored = full.states_explored;
-  } else {
-    changes_.drain(change_log_);
-    const verify::IncrementalResult inc = inc_.check(
-        net, *route_ctl_.delta().graph(), em_->daemons, owners_, changes_);
-    changes_.clear();
-    report.last_stats = inc.loop.stats;
-    clean = inc.loop.loop_free && inc.valley.valley_free && inc.lint.empty();
-    std::vector<std::string> inc_cycles;
-    std::vector<std::string> inc_valleys;
-    std::vector<std::string> inc_lints;
-    for (const auto& c : inc.loop.cycles) inc_cycles.push_back(c.to_string());
-    for (const auto& v : inc.valley.violations) {
-      inc_valleys.push_back(v.to_string());
+  if (cfg_.verify_mode == VerifyMode::Differential) {
+    // Oracle pass: the untouched full provers on the same state must agree
+    // with the incremental result element by element.
+    const std::string diff = verify::first_difference(
+        inc, verify::check_from_scratch(net, g, em_->daemons, owners_,
+                                        inc_.config()));
+    if (!diff.empty()) {
+      ++report.differential_mismatches;
+      report.violations.push_back(
+          Violation{t, last_event_index_, "differential: " + diff});
+      clean = false;
     }
-    for (const auto& i : inc.lint) inc_lints.push_back(i.to_string());
-    report_strings("cycle", inc_cycles);
-    report_strings("valley", inc_valleys);
-    report_strings("lint", inc_lints);
-    last_cost_ = inc.stats;
-    report.total_dirty_destinations += inc.stats.dirty_destinations;
-    report.total_cache_hits += inc.stats.cache_hits;
-
-    if (cfg_.verify_mode == VerifyMode::Differential) {
-      // Oracle pass: the untouched full provers on the same state. Both
-      // sides are destination-ascending, so the incremental result must be
-      // verdict-, counterexample- and lint-identical as sequences.
-      const FullVerdict full = run_full_provers();
-      const bool match = full.loop_free == inc.loop.loop_free &&
-                         full.cycles == inc_cycles &&
-                         full.valleys == inc_valleys &&
-                         full.lints == inc_lints;
-      if (!match) {
-        ++report.differential_mismatches;
-        report.violations.push_back(Violation{
-            t, last_event_index_,
-            "differential: incremental verdict diverged from full prover "
-            "(cycles " +
-                std::to_string(inc_cycles.size()) + "/" +
-                std::to_string(full.cycles.size()) + ", valleys " +
-                std::to_string(inc_valleys.size()) + "/" +
-                std::to_string(full.valleys.size()) + ", lints " +
-                std::to_string(inc_lints.size()) + "/" +
-                std::to_string(full.lints.size()) + ", loop_free " +
-                (inc.loop.loop_free ? "1" : "0") + "/" +
-                (full.loop_free ? "1" : "0") + ")"});
-        clean = false;
-      }
-      // Route-plane oracle: every delta-maintained CSR segment must be
-      // element-identical to a from-scratch Gao-Rexford rebuild on the
-      // current masked graph (withdrawn prefixes compare against the
-      // all-invalid store). This is what catches plant_stale_route.
-      for (const AsId d : route_ctl_.delta().differential_check()) {
-        ++report.route_differential_mismatches;
-        report.violations.push_back(Violation{
-            t, last_event_index_,
-            "route-differential: delta segment for AS" +
-                std::to_string(d.value()) +
-                " diverged from from-scratch rebuild"});
-        clean = false;
-      }
+    // Route-plane oracle: every delta-maintained CSR segment must be
+    // element-identical to a from-scratch Gao-Rexford rebuild on the
+    // current masked graph (withdrawn prefixes compare against the
+    // all-invalid store). This is what catches plant_stale_route.
+    for (const AsId d : route_ctl_.delta().differential_check()) {
+      ++report.route_differential_mismatches;
+      report.violations.push_back(Violation{
+          t, last_event_index_,
+          "route-differential: delta segment for AS" +
+              std::to_string(d.value()) +
+              " diverged from from-scratch rebuild"});
+      clean = false;
     }
   }
   if (shard_) {

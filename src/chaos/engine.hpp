@@ -4,8 +4,9 @@
 // The engine owns the run loop: it advances the dp::Network event queue to
 // each scheduled fault, applies it (cable pulls via Network::set_port_up,
 // BGP churn via RouteController, daemon staleness/freezes, bursts), then
-// snapshots the installed forwarding state and re-runs the verify::
-// deflection-graph prover and lints — once immediately after the event and
+// snapshots the installed forwarding state and re-proves it with the
+// verify::IncrementalVerifier (loop, valley and lint proofs of the
+// destinations the fault dirtied) — once immediately after the event and
 // once after a reconvergence delay that covers at least one daemon tick. A
 // clean chaos run is therefore a safety-under-churn proof over every
 // quiescent point; a dirty one yields the concrete counterexample cycle
@@ -27,24 +28,21 @@
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
 #include "verify/changeset.hpp"
-#include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
-#include "verify/lint.hpp"
-#include "verify/valley.hpp"
 
 namespace mifo::chaos {
 
-/// How each quiescent-point snapshot proves safety.
+/// How each quiescent-point snapshot proves safety. Both modes prove with
+/// verify::IncrementalVerifier fed by the network's ChangeLog, so only the
+/// destinations the fault dirtied are re-proved (cost proportional to the
+/// fault's footprint).
 enum class VerifyMode : std::uint8_t {
-  /// From-scratch full provers at every snapshot (the PR-4 behaviour).
-  Full,
-  /// verify::IncrementalVerifier fed by the network's ChangeLog: only the
-  /// destinations the fault dirtied are re-proved (cost proportional to
-  /// the fault's footprint).
   Incremental,
-  /// Both, with the full provers as the oracle: any difference in verdict,
-  /// counterexamples or lints between the two is itself a violation. The
-  /// check.sh differential gate runs chaos plans in this mode.
+  /// Also checks every snapshot against the oracles: the from-scratch full
+  /// provers (verify::check_from_scratch + verify::first_difference) and
+  /// the delta routing table's from-scratch rebuild. Any difference is
+  /// itself a violation. The check.sh differential gate runs chaos plans
+  /// in this mode.
   Differential,
 };
 
@@ -56,7 +54,7 @@ struct EngineConfig {
   /// few daemon intervals so the tick between event and snapshot is real.
   SimTime reconv_delay = 0.05;
   /// Proof strategy per snapshot (see VerifyMode).
-  VerifyMode verify_mode = VerifyMode::Full;
+  VerifyMode verify_mode = VerifyMode::Incremental;
   /// Extra settle time after the last event before the final snapshot.
   SimTime drain_margin = 0.5;
 };
@@ -95,9 +93,9 @@ struct Span {
   SimTime t_reconverged = -1.0;   ///< paired recovery event applied
   SimTime t_verified = -1.0;      ///< first clean verify after the repair
   /// Verification cost of the immediate (injection-time) snapshot — the
-  /// per-fault verify footprint mifo-trace's span table renders. Under
-  /// VerifyMode::Full, dirty_destinations counts every destination and
-  /// cache_hits stays 0.
+  /// per-fault verify footprint mifo-trace's span table renders: the
+  /// destinations the event dirtied, the states their re-proof explored,
+  /// and the destinations served from the proof cache.
   std::size_t dirty_destinations = 0;
   std::size_t states_explored = 0;
   std::size_t cache_hits = 0;
@@ -119,13 +117,13 @@ struct Report {
   std::size_t events_applied = 0;
   bool safe = true;  ///< every snapshot loop-free and lint-clean
   verify::VerifyStats last_stats;
-  VerifyMode verify_mode = VerifyMode::Full;
+  VerifyMode verify_mode = VerifyMode::Incremental;
   /// Differential mode: snapshots where incremental and full verdicts
   /// disagreed (0 on a correct implementation; any mismatch also lands in
   /// `violations` and forces safe = false).
   std::size_t differential_mismatches = 0;
-  /// Cumulative incremental-engine accounting across all snapshots (zeros
-  /// under VerifyMode::Full).
+  /// Cumulative incremental-engine accounting across all snapshots: the
+  /// sums of every snapshot's re-proved and cache-served destinations.
   std::size_t total_dirty_destinations = 0;
   std::size_t total_cache_hits = 0;
   /// Delta route-recompute accounting across all applied events
@@ -200,16 +198,6 @@ class Engine {
 
   /// Verification snapshot at the current time; updates report/metrics.
   bool snapshot(Report& report, SimTime t);
-  /// Full-prover pass shared by Full and Differential snapshots.
-  struct FullVerdict {
-    bool loop_free = true;
-    std::vector<std::string> cycles;
-    std::vector<std::string> valleys;
-    std::vector<std::string> lints;
-    verify::VerifyStats loop_stats;
-    std::size_t states_explored = 0;  ///< loop + valley, for span costing
-  };
-  [[nodiscard]] FullVerdict run_full_provers() const;
 
   /// Network-wide drop total (all breakdown buckets) — the span
   /// first-impact signal.
@@ -238,9 +226,9 @@ class Engine {
   std::size_t last_event_index_ = 0;
   bool planted_violation_ = false;
 
-  /// Incremental verification state (unused under VerifyMode::Full): the
-  /// change log is attached to the network at construction, drained into
-  /// `changes_` at each snapshot, and resolved by the memoizing verifier.
+  /// Incremental verification state: the change log is attached to the
+  /// network at construction, drained into `changes_` at each snapshot, and
+  /// resolved by the memoizing verifier.
   dp::ChangeLog change_log_;
   verify::ChangeSet changes_;
   verify::IncrementalVerifier inc_;

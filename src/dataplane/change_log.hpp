@@ -10,11 +10,13 @@
 // every tick, so recording raw write traffic would dirty every destination
 // every 10 ms and incrementality would buy nothing.
 //
-// The log is drained (moved out and cleared) by verify::ChangeSet at each
-// quiescent point; dataplane code only appends.
+// The log is drained (moved out and cleared) into the log a
+// verify::ChangeSet holds at each quiescent point; dataplane code only
+// appends.
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -73,6 +75,22 @@ struct ChangeLog {
     ports.clear();
     configs.clear();
     daemons.clear();
+  }
+  /// Moves every record of `from` to the end of this log; `from` is left
+  /// empty.
+  void drain(ChangeLog& from) {
+    const auto take = [](auto& dst, auto& src) {
+      if (dst.empty()) {
+        dst = std::move(src);
+      } else {
+        dst.insert(dst.end(), src.begin(), src.end());
+      }
+      src.clear();
+    };
+    take(fib, from.fib);
+    take(ports, from.ports);
+    take(configs, from.configs);
+    take(daemons, from.daemons);
   }
 };
 

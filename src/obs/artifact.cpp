@@ -207,9 +207,14 @@ namespace {
 /// Recursive-descent parser for the subset dump() emits (strict JSON minus
 /// exotic escapes; \u decodes BMP code points to UTF-8).
 struct JsonParser {
+  /// Nesting bound: deeper input is rejected instead of recursing until
+  /// the stack overflows. Artifacts nest a handful of levels.
+  static constexpr int kMaxDepth = 256;
+
   const char* p;
   const char* end;
   bool ok = true;
+  int depth = 0;
 
   void skip_ws() {
     while (p < end &&
@@ -295,8 +300,19 @@ Json JsonParser::parse_value() {
     ok = false;
     return {};
   }
+  if ((*p == '{' || *p == '[') && depth >= kMaxDepth) {
+    ok = false;
+    return {};
+  }
+  // One container level, released on every return of its branch.
+  struct Nest {
+    int& d;
+    explicit Nest(int& level) : d(level) { ++d; }
+    ~Nest() { --d; }
+  };
   switch (*p) {
     case '{': {
+      const Nest nest(depth);
       ++p;
       Json obj = Json::object();
       skip_ws();
@@ -315,6 +331,7 @@ Json JsonParser::parse_value() {
       return obj;
     }
     case '[': {
+      const Nest nest(depth);
       ++p;
       Json arr = Json::array();
       skip_ws();
@@ -354,11 +371,14 @@ Json JsonParser::parse_value() {
         ok = false;
         return {};
       }
-      // Integer-looking input round-trips without a decimal point.
+      // Integer-looking input round-trips without a decimal point; one
+      // outside the int64 range (or inf) stays a double, since the cast
+      // would be undefined.
       const bool integral =
           std::find_if(p, static_cast<const char*>(num_end), [](char c) {
             return c == '.' || c == 'e' || c == 'E';
-          }) == num_end;
+          }) == num_end &&
+          v >= -0x1p63 && v < 0x1p63;
       p = num_end;
       return integral ? Json::num(static_cast<std::int64_t>(v))
                       : Json::num(v);

@@ -20,37 +20,16 @@ void add_router_fib_dests(std::span<const dp::Router> routers, RouterId r,
 
 }  // namespace
 
-void ChangeSet::drain(dp::ChangeLog& log) {
-  const auto take = [](auto& dst, auto& src) {
-    if (dst.empty()) {
-      dst = std::move(src);
-    } else {
-      dst.insert(dst.end(), src.begin(), src.end());
-    }
-    src.clear();
-  };
-  take(fib_, log.fib);
-  take(ports_, log.ports);
-  take(configs_, log.configs);
-  take(daemons_, log.daemons);
-}
-
-void ChangeSet::clear() {
-  fib_.clear();
-  ports_.clear();
-  configs_.clear();
-  daemons_.clear();
-  routing_.clear();
-}
-
 std::vector<dp::Addr> ChangeSet::dirty_destinations(
     std::span<const dp::Router> routers) const {
   std::vector<dp::Addr> dirty;
-  dirty.reserve(fib_.size() + daemons_.size() + routing_.size());
-  for (const auto& c : fib_) dirty.push_back(c.dst);
-  for (const auto& c : daemons_) dirty.push_back(c.prefix);
+  dirty.reserve(log_.fib.size() + log_.daemons.size() + routing_.size());
+  for (const auto& c : log_.fib) dirty.push_back(c.dst);
+  for (const auto& c : log_.daemons) dirty.push_back(c.prefix);
   for (const dp::Addr prefix : routing_) dirty.push_back(prefix);
-  for (const auto& c : configs_) add_router_fib_dests(routers, c.router, dirty);
+  for (const auto& c : log_.configs) {
+    add_router_fib_dests(routers, c.router, dirty);
+  }
   sort_unique(dirty);
   return dirty;
 }
@@ -58,16 +37,18 @@ std::vector<dp::Addr> ChangeSet::dirty_destinations(
 std::vector<dp::Addr> ChangeSet::port_dirty_destinations(
     std::span<const dp::Router> routers) const {
   std::vector<dp::Addr> dirty;
-  for (const auto& c : ports_) add_router_fib_dests(routers, c.router, dirty);
+  for (const auto& c : log_.ports) {
+    add_router_fib_dests(routers, c.router, dirty);
+  }
   sort_unique(dirty);
   return dirty;
 }
 
 std::string ChangeSet::to_string() const {
   std::ostringstream os;
-  os << "fib=" << fib_.size() << " ports=" << ports_.size()
-     << " configs=" << configs_.size() << " daemons=" << daemons_.size()
-     << " routing=" << routing_.size();
+  os << "fib=" << log_.fib.size() << " ports=" << log_.ports.size()
+     << " configs=" << log_.configs.size()
+     << " daemons=" << log_.daemons.size() << " routing=" << routing_.size();
   return os.str();
 }
 

@@ -27,8 +27,9 @@
 //                             controller's FIB and daemon writes are
 //                             already logged.
 //
-// A ChangeSet accumulates drained dp::ChangeLog records between quiescent
-// points and resolves them against the current router snapshot on demand.
+// A ChangeSet holds one dp::ChangeLog that accumulates drained records
+// between quiescent points, plus the routing notes, and resolves them
+// against the current router snapshot on demand.
 #pragma once
 
 #include <span>
@@ -44,27 +45,24 @@ namespace mifo::verify {
 class ChangeSet {
  public:
   /// Move all records out of `log` into this set (log is cleared).
-  void drain(dp::ChangeLog& log);
+  void drain(dp::ChangeLog& log) { log_.drain(log); }
 
   /// Direct recording (tests, call sites without a ChangeLog).
-  void note_fib(RouterId r, dp::Addr dst) { fib_.push_back({r, dst}); }
-  void note_port(RouterId r, PortId p) { ports_.push_back({r, p}); }
-  void note_config(RouterId r) { configs_.push_back({r}); }
-  void note_daemon(AsId as, dp::Addr prefix) {
-    daemons_.push_back({as, prefix});
-  }
+  void note_fib(RouterId r, dp::Addr dst) { log_.note_fib(r, dst); }
+  void note_port(RouterId r, PortId p) { log_.note_port(r, p); }
+  void note_config(RouterId r) { log_.note_config(r); }
+  void note_daemon(AsId as, dp::Addr prefix) { log_.note_daemon(as, prefix); }
   /// A delta route recompute touched `prefix`'s segment (no ChangeLog
   /// record type: the routing plane sits above the data-plane log).
   void note_routing(dp::Addr prefix) { routing_.push_back(prefix); }
 
-  void clear();
-  [[nodiscard]] bool empty() const {
-    return fib_.empty() && ports_.empty() && configs_.empty() &&
-           daemons_.empty() && routing_.empty();
+  void clear() {
+    log_.clear();
+    routing_.clear();
   }
+  [[nodiscard]] bool empty() const { return log_.empty() && routing_.empty(); }
   [[nodiscard]] std::size_t size() const {
-    return fib_.size() + ports_.size() + configs_.size() + daemons_.size() +
-           routing_.size();
+    return log_.size() + routing_.size();
   }
 
   /// Destinations whose loop/valley proofs and lints the recorded changes
@@ -78,20 +76,21 @@ class ChangeSet {
   [[nodiscard]] std::vector<dp::Addr> port_dirty_destinations(
       std::span<const dp::Router> routers) const;
 
-  [[nodiscard]] std::size_t fib_changes() const { return fib_.size(); }
-  [[nodiscard]] std::size_t port_changes() const { return ports_.size(); }
-  [[nodiscard]] std::size_t config_changes() const { return configs_.size(); }
-  [[nodiscard]] std::size_t daemon_changes() const { return daemons_.size(); }
+  [[nodiscard]] std::size_t fib_changes() const { return log_.fib.size(); }
+  [[nodiscard]] std::size_t port_changes() const { return log_.ports.size(); }
+  [[nodiscard]] std::size_t config_changes() const {
+    return log_.configs.size();
+  }
+  [[nodiscard]] std::size_t daemon_changes() const {
+    return log_.daemons.size();
+  }
   [[nodiscard]] std::size_t routing_changes() const { return routing_.size(); }
 
   /// One-line summary for logs: "fib=3 ports=1 configs=0 daemons=1".
   [[nodiscard]] std::string to_string() const;
 
  private:
-  std::vector<dp::ChangeLog::FibChange> fib_;
-  std::vector<dp::ChangeLog::PortChange> ports_;
-  std::vector<dp::ChangeLog::ConfigChange> configs_;
-  std::vector<dp::ChangeLog::DaemonChange> daemons_;
+  dp::ChangeLog log_;
   std::vector<dp::Addr> routing_;
 };
 

@@ -15,6 +15,31 @@ void accumulate(VerifyStats& into, const VerifyStats& from) {
   into.edges += from.edges;
 }
 
+std::string flag_difference(const char* label, bool inc, bool full) {
+  if (inc == full) return {};
+  return std::string(label) + ": incremental " + (inc ? "1" : "0") +
+         ", full " + (full ? "1" : "0");
+}
+
+/// Compares two finding lists as sequences of their renderings: empty when
+/// identical, else a description of the first difference.
+template <typename T>
+std::string sequence_difference(const char* label, const std::vector<T>& inc,
+                                const std::vector<T>& full) {
+  for (std::size_t i = 0; i < std::min(inc.size(), full.size()); ++i) {
+    const std::string a = inc[i].to_string();
+    const std::string b = full[i].to_string();
+    if (a != b) {
+      return std::string(label) + "[" + std::to_string(i) +
+             "]: incremental '" + a + "' vs full '" + b + "'";
+    }
+  }
+  if (inc.size() == full.size()) return {};
+  return std::string(label) + ": incremental has " +
+         std::to_string(inc.size()) + ", full has " +
+         std::to_string(full.size());
+}
+
 }  // namespace
 
 IncrementalResult IncrementalVerifier::check(
@@ -104,6 +129,49 @@ IncrementalResult IncrementalVerifier::check(
                                    proof.blackholes.end());
   }
   return result;
+}
+
+IncrementalResult check_from_scratch(
+    const dp::Network& net, const topo::AsGraph& g,
+    std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
+    std::span<const std::pair<dp::Addr, AsId>> owners,
+    const IncrementalConfig& cfg) {
+  IncrementalResult full;
+  full.loop = check_loop_freedom(net);
+  if (cfg.valley) full.valley = check_valley_freedom(net);
+  if (cfg.lint) full.lint = lint_deployment(net, g, daemons, owners);
+  if (cfg.blackhole) full.reach = check_reachability(net);
+  full.stats.destinations = full.loop.stats.destinations;
+  full.stats.dirty_destinations = full.stats.destinations;
+  for (const VerifyStats& st :
+       {full.loop.stats, full.valley.stats, full.reach.stats}) {
+    full.stats.states_explored += st.states;
+    full.stats.edges_explored += st.edges;
+  }
+  return full;
+}
+
+std::string first_difference(const IncrementalResult& inc,
+                             const IncrementalResult& full) {
+  std::string diff =
+      flag_difference("loop_free", inc.loop.loop_free, full.loop.loop_free);
+  if (diff.empty()) {
+    diff = sequence_difference("cycles", inc.loop.cycles, full.loop.cycles);
+  }
+  if (diff.empty()) {
+    diff = flag_difference("valley_free", inc.valley.valley_free,
+                           full.valley.valley_free);
+  }
+  if (diff.empty()) {
+    diff = sequence_difference("valleys", inc.valley.violations,
+                               full.valley.violations);
+  }
+  if (diff.empty()) diff = sequence_difference("lints", inc.lint, full.lint);
+  if (diff.empty()) {
+    diff = sequence_difference("blackholes", inc.reach.blackholes,
+                               full.reach.blackholes);
+  }
+  return diff;
 }
 
 }  // namespace mifo::verify

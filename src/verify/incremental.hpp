@@ -13,16 +13,18 @@
 // fault's footprint instead of the deployment size (Prelude's scoped
 // re-verification, PAPERS.md).
 //
-// Contract (enforced by the differential property tests and the chaos
-// engine's differential mode): the merged incremental result is verdict-,
-// counterexample- and lint-identical to a from-scratch full-prover run on
-// the same state. The full provers are retained untouched as the oracle —
-// the PR-1/PR-5 pattern.
+// Contract (enforced by the differential property tests, mifo-verify, the
+// verify bench and the chaos engine's differential mode): the merged
+// incremental result is verdict-, counterexample- and lint-identical to a
+// from-scratch full-prover run on the same state. The full provers are
+// retained untouched as the one oracle: check_from_scratch runs them and
+// first_difference is the one comparison every caller uses.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -108,5 +110,23 @@ class IncrementalVerifier {
   /// prover's fib_destinations() order.
   std::map<dp::Addr, DestProof> cache_;
 };
+
+/// The oracle: the untouched full provers (check_loop_freedom,
+/// check_valley_freedom, lint_deployment, and check_reachability when
+/// `cfg.blackhole` is set) on the current state, packed into the shape
+/// IncrementalVerifier::check returns under the same `cfg`. `stats` counts
+/// every destination as re-proved and the states all provers explored.
+[[nodiscard]] IncrementalResult check_from_scratch(
+    const dp::Network& net, const topo::AsGraph& g,
+    std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
+    std::span<const std::pair<dp::Addr, AsId>> owners,
+    const IncrementalConfig& cfg);
+
+/// Empty when `inc` matches `full` element by element, every finding list
+/// compared as a destination-ascending sequence: loop_free, cycles,
+/// valley_free, valleys, lints and blackholes. Otherwise a one-line
+/// description of the first difference.
+[[nodiscard]] std::string first_difference(const IncrementalResult& inc,
+                                           const IncrementalResult& full);
 
 }  // namespace mifo::verify

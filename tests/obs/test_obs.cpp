@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
@@ -521,6 +522,29 @@ TEST(Json, ParseRejectsMalformedAndTrailingGarbage) {
   EXPECT_FALSE(Json::parse("[1,]").has_value());
   EXPECT_FALSE(Json::parse("{} trailing").has_value());
   EXPECT_FALSE(Json::parse("").has_value());
+}
+
+TEST(Json, ParseRejectsNestingBeyondTheDepthBound) {
+  // Far past the bound: must fail cleanly, not overflow the stack.
+  EXPECT_FALSE(Json::parse(std::string(200000, '[')).has_value());
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(Json::parse(objects).has_value());
+  // Ordinary artifact nesting still parses.
+  const std::string shallow = std::string(16, '[') + std::string(16, ']');
+  EXPECT_TRUE(Json::parse(shallow).has_value());
+}
+
+TEST(Json, ParseKeepsIntegersOutsideInt64AsDoubles) {
+  const auto big = Json::parse("[99999999999999999999, -99999999999999999999]");
+  ASSERT_TRUE(big.has_value());
+  EXPECT_DOUBLE_EQ(big->items()[0].number(), 1e20);
+  EXPECT_DOUBLE_EQ(big->items()[1].number(), -1e20);
+  EXPECT_EQ(big->dump(), "[1e+20,-1e+20]");
+  // In-range integers still round-trip without a decimal point.
+  const auto small = Json::parse("[-42, 9007199254740992]");
+  ASSERT_TRUE(small.has_value());
+  EXPECT_EQ(small->dump(), "[-42,9007199254740992]");
 }
 
 TEST(Json, ParseUnicodeEscape) {

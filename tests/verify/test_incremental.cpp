@@ -3,8 +3,9 @@
 // withdrawal, config flip, link flap, daemon reconvergence tick), the
 // merged incremental result must be verdict-, counterexample- and
 // lint-identical to a from-scratch run of the full provers on the same
-// state. The full provers are the oracle; the cache must never be able to
-// serve a stale proof.
+// state (verify::check_from_scratch, compared by verify::first_difference).
+// The full provers are the oracle; the cache must never be able to serve a
+// stale proof.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +20,6 @@
 #include "verify/changeset.hpp"
 #include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
-#include "verify/lint.hpp"
-#include "verify/valley.hpp"
 
 namespace mifo {
 namespace {
@@ -56,36 +55,41 @@ Deployment deploy(std::uint64_t seed, std::size_t num_ases) {
   return d;
 }
 
-std::vector<std::string> rendered(const auto& findings) {
-  std::vector<std::string> out;
-  out.reserve(findings.size());
-  for (const auto& f : findings) out.push_back(f.to_string());
-  return out;
-}
-
-struct FullRun {
-  verify::LoopCheck loop;
-  verify::ValleyCheck valley;
-  std::vector<verify::LintIssue> lints;
-};
-
-FullRun full_run(const Deployment& d) {
-  const dp::Network& net = *d.em.net;
-  return {verify::check_loop_freedom(net), verify::check_valley_freedom(net),
-          verify::lint_deployment(net, d.g, d.em.daemons, d.owners)};
+verify::IncrementalResult full_run(const Deployment& d) {
+  return verify::check_from_scratch(*d.em.net, d.g, d.em.daemons, d.owners,
+                                    verify::IncrementalConfig{});
 }
 
 // Element-identical, not just verdict-identical: cycles, valley violations
 // and lints are all produced per destination and both sides merge
 // destination-ascending, so everything compares as sequences.
-void expect_identical(const verify::IncrementalResult& inc, const FullRun& full,
+void expect_identical(const verify::IncrementalResult& inc,
+                      const verify::IncrementalResult& full,
                       const std::string& context) {
-  EXPECT_EQ(inc.loop.loop_free, full.loop.loop_free) << context;
-  EXPECT_EQ(rendered(inc.loop.cycles), rendered(full.loop.cycles)) << context;
-  EXPECT_EQ(inc.valley.valley_free, full.valley.valley_free) << context;
-  EXPECT_EQ(rendered(inc.valley.violations), rendered(full.valley.violations))
-      << context;
-  EXPECT_EQ(rendered(inc.lint), rendered(full.lints)) << context;
+  EXPECT_EQ(verify::first_difference(inc, full), "") << context;
+}
+
+TEST(Incremental, FirstDifferenceNamesTheFirstDivergingField) {
+  const Deployment d = deploy(21, 30);
+  const verify::IncrementalResult full = full_run(d);
+  EXPECT_EQ(verify::first_difference(full, full), "");
+
+  verify::IncrementalResult flipped = full;
+  flipped.loop.loop_free = !flipped.loop.loop_free;
+  EXPECT_EQ(verify::first_difference(flipped, full).rfind("loop_free", 0), 0u);
+
+  verify::IncrementalResult extra = full;
+  extra.lint.push_back(verify::LintIssue{});
+  EXPECT_EQ(verify::first_difference(extra, full).rfind("lints:", 0), 0u);
+
+  verify::IncrementalResult edited = extra;
+  verify::IncrementalResult oracle = extra;
+  edited.lint.back().detail = "edited";
+  const std::string diff = verify::first_difference(edited, oracle);
+  EXPECT_EQ(diff.rfind("lints[" + std::to_string(full.lint.size()) + "]", 0),
+            0u)
+      << diff;
+  EXPECT_NE(diff.find("edited"), std::string::npos) << diff;
 }
 
 TEST(Incremental, ColdPassProvesEverythingAndMatchesFull) {

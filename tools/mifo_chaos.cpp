@@ -4,7 +4,8 @@
 // Builds a MIFO deployment on a generated (or loaded) topology, runs seeded
 // background traffic through the packet emulator, and injects a chaos plan
 // (scripted file or seeded random schedule) while re-proving loop-freedom
-// and FIB/RIB consistency after every event and reconvergence window.
+// and FIB/RIB consistency, incrementally, after every event and
+// reconvergence window.
 //
 //   mifo-chaos --gen --seed 3 --duration 1.5        # randomized churn
 //   mifo-chaos --plan scenario.txt                  # scripted scenario
@@ -55,7 +56,7 @@ struct Options {
   bool mutate_stale_route = false;
   bool print_plan = false;
   bool quiet = false;
-  chaos::VerifyMode verify_mode = chaos::VerifyMode::Full;
+  chaos::VerifyMode verify_mode = chaos::VerifyMode::Incremental;
 };
 
 void usage(const char* argv0) {
@@ -75,10 +76,11 @@ void usage(const char* argv0) {
       "  --mttr M        mean time-to-repair for --gen (default 0.15)\n"
       "  --dests K       prefix-owning ASes (default 6)\n"
       "  --flows F       background flows (default 48)\n"
-      "  --verify-mode MODE  full | incremental | differential (default\n"
-      "                  full). incremental re-proves only the destinations\n"
-      "                  each fault dirtied; differential also runs the full\n"
-      "                  provers as an oracle and fails on any divergence\n"
+      "  --verify-mode MODE  incremental | differential (default\n"
+      "                  incremental). Snapshots re-prove only the\n"
+      "                  destinations each fault dirtied; differential also\n"
+      "                  runs the from-scratch oracles and fails on any\n"
+      "                  divergence\n"
       "  --mutate-valley plant an Eq.3-violating deflection ring mid-run;\n"
       "                  the verifier must catch it (expects exit 2)\n"
       "  --mutate-stale-route\n"
@@ -124,9 +126,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (!take(parse_u64(v), opt.flows)) return false;
     } else if (arg == "--verify-mode" && (v = next())) {
       const std::string mode = v;
-      if (mode == "full") {
-        opt.verify_mode = chaos::VerifyMode::Full;
-      } else if (mode == "incremental") {
+      if (mode == "incremental") {
         opt.verify_mode = chaos::VerifyMode::Incremental;
       } else if (mode == "differential") {
         opt.verify_mode = chaos::VerifyMode::Differential;
@@ -360,14 +360,12 @@ int main(int argc, char** argv) {
                 "last pass: %zu states, %zu edges\n",
                 report.checks_run, report.checks_clean,
                 report.last_stats.states, report.last_stats.edges);
-    if (report.verify_mode != chaos::VerifyMode::Full) {
-      std::printf("incremental: %zu destinations re-proved, %zu cache hits "
-                  "across %zu snapshots (%s mode, %zu differential "
-                  "mismatches)\n",
-                  report.total_dirty_destinations, report.total_cache_hits,
-                  report.checks_run, chaos::to_string(report.verify_mode),
-                  report.differential_mismatches);
-    }
+    std::printf("incremental: %zu destinations re-proved, %zu cache hits "
+                "across %zu snapshots (%s mode, %zu differential "
+                "mismatches)\n",
+                report.total_dirty_destinations, report.total_cache_hits,
+                report.checks_run, chaos::to_string(report.verify_mode),
+                report.differential_mismatches);
     if (report.route_events != 0) {
       std::printf("route delta: %zu events, %zu destinations recomputed, "
                   "%zu patched, %zu kept, %zu differential mismatches\n",

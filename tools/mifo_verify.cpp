@@ -3,7 +3,10 @@
 // Builds a concrete deployment (generated or loaded topology -> border
 // routers, BGP-derived FIBs, one daemon tick to program alt ports), then
 // statically proves per-destination loop-freedom of the installed state and
-// lints FIB/RIB consistency — no packets are run.
+// lints FIB/RIB consistency — no packets are run. Every run proves through
+// the dirty-set engine: a cold pass, then any mutation, then a warm pass
+// that re-proves only what the mutation dirtied, cross-checked against the
+// from-scratch full provers.
 //
 //   mifo-verify --gen 300 --seed 11            # generated power-law topology
 //   mifo-verify --topo mifo_topology.txt       # CAIDA-style text dump
@@ -11,12 +14,10 @@
 //                                              # expects a reported cycle
 //   mifo-verify --gen 120 --mutate-blackhole   # strand a prefix at a transit
 //                                              # router; expects a blackhole
-//   mifo-verify --gen 300 --incremental        # dirty-set engine + full-
-//                                              # prover differential
 //
 // Exit status: 0 = loop-free, valley-free and lint-clean, 1 = usage/input
-// error, 2 = cycle / valley / blackhole found, lint issues, or (under
-// --incremental) an incremental-vs-full differential mismatch.
+// error, 2 = cycle / valley / blackhole found, lint issues, or an
+// incremental-vs-full differential mismatch.
 
 #include <algorithm>
 #include <cstdio>
@@ -36,8 +37,6 @@
 #include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
 #include "verify/lint.hpp"
-#include "verify/reachability.hpp"
-#include "verify/valley.hpp"
 
 using namespace mifo;
 
@@ -52,7 +51,6 @@ struct Options {
   bool mutate_valley = false;
   bool mutate_blackhole = false;
   bool blackhole = false;
-  bool incremental = false;
   bool quiet = false;
 };
 
@@ -60,15 +58,13 @@ void usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--topo FILE | --gen N] [--seed S] [--dests K]\n"
-      "          [--expand-tier1] [--incremental] [--blackhole]\n"
+      "          [--expand-tier1] [--blackhole]\n"
       "          [--mutate-valley] [--mutate-blackhole] [-q]\n"
       "  --topo FILE      load a CAIDA-style topology dump\n"
       "  --gen N          generate an N-AS power-law topology (default 200)\n"
       "  --seed S         generator seed (default 1)\n"
       "  --dests K        destination prefixes to verify (default 8)\n"
       "  --expand-tier1   per-adjacency border routers in tier-1 ASes\n"
-      "  --incremental    prove via the dirty-set engine and cross-check\n"
-      "                   every verdict against the full provers\n"
       "  --blackhole      also run the reachability/blackhole analysis\n"
       "  --mutate-valley  plant an Eq.3-violating deflection ring and\n"
       "                   expect the verifier to report the cycle\n"
@@ -110,8 +106,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.blackhole = true;
     } else if (arg == "--blackhole") {
       opt.blackhole = true;
-    } else if (arg == "--incremental") {
-      opt.incremental = true;
     } else if (arg == "-q") {
       opt.quiet = true;
     } else {
@@ -160,6 +154,10 @@ int main(int argc, char** argv) {
     }
     std::string error;
     auto parsed = topo::parse(in, error);
+    if (parsed && parsed->num_ases() < 2) {
+      error = "verification needs at least 2 ASes";
+      parsed.reset();
+    }
     if (!parsed) {
       std::fprintf(stderr, "mifo-verify: %s: %s\n", opt.topo_file.c_str(),
                    error.c_str());
@@ -208,21 +206,19 @@ int main(int argc, char** argv) {
   owners.reserve(em.hosts.size());
   for (const auto& att : em.hosts) owners.emplace_back(att.addr, att.as);
 
-  // --incremental: cold-prove everything through the dirty-set engine, then
-  // let the mutation hooks record what changes; the warm pass below re-proves
-  // only the dirtied destinations and must match the full provers exactly.
+  // Cold pass: prove everything through the dirty-set engine, then let the
+  // mutation hooks record what changes; the warm pass below re-proves only
+  // the dirtied destinations and must match the full provers exactly.
   dp::ChangeLog change_log;
   verify::ChangeSet changes;
   verify::IncrementalVerifier inc(verify::IncrementalConfig{
       .lint = true, .valley = true, .blackhole = opt.blackhole});
-  if (opt.incremental) {
-    net.attach_change_log(&change_log);
-    const auto cold = inc.check(net, g, em.daemons, owners, changes);
-    if (!opt.quiet) {
-      std::printf("incremental: cold pass proved %zu destinations "
-                  "(%zu states explored)\n",
-                  cold.stats.dirty_destinations, cold.stats.states_explored);
-    }
+  net.attach_change_log(&change_log);
+  const auto cold = inc.check(net, g, em.daemons, owners, changes);
+  if (!opt.quiet) {
+    std::printf("incremental: cold pass proved %zu destinations "
+                "(%zu states explored)\n",
+                cold.stats.dirty_destinations, cold.stats.states_explored);
   }
 
   if (opt.mutate_valley) {
@@ -259,8 +255,8 @@ int main(int argc, char** argv) {
       net.router(eg->router).fib().set_alt(dst, eg->port);
       net.router(eg->router).config().enforce_tag_check = false;
       // The config write bypasses the hooked mutators; record it by hand so
-      // the incremental engine re-proves the ring routers' destinations.
-      if (auto* log = net.change_log()) log->note_config(eg->router);
+      // the warm pass re-proves the ring routers' destinations.
+      change_log.note_config(eg->router);
     }
     if (!opt.quiet) {
       std::printf("mutated: Tag-Check disabled on peering ring AS%u-AS%u-"
@@ -307,106 +303,69 @@ int main(int argc, char** argv) {
     alt_routes += r.fib().num_alt_routes();
   }
 
-  // Verification proper. Under --incremental the warm dirty-set pass
-  // produces the verdicts and the untouched full provers act as the oracle;
-  // otherwise the full provers run directly.
-  verify::LoopCheck loop_check;
-  verify::ValleyCheck valley_check;
-  verify::ReachabilityCheck reach;
-  std::vector<verify::LintIssue> deployment_issues;
-  bool differential_ok = true;
-
-  const auto rendered = [](const auto& items) {
-    std::vector<std::string> out;
-    out.reserve(items.size());
-    for (const auto& item : items) out.push_back(item.to_string());
-    return out;
-  };
-
-  if (opt.incremental) {
-    changes.drain(change_log);
-    auto warm = inc.check(net, g, em.daemons, owners, changes);
-    changes.clear();
-    if (!opt.quiet) {
-      std::printf("incremental: warm pass re-proved %zu/%zu destinations "
-                  "(%zu cache hits, %zu states explored)\n",
-                  warm.stats.dirty_destinations, warm.stats.destinations,
-                  warm.stats.cache_hits, warm.stats.states_explored);
-    }
-    // Differential oracle: the merged incremental result must be verdict-,
-    // counterexample- and lint-identical to a from-scratch full run; both
-    // are destination-ascending, so they compare as sequences.
-    const auto full_loop = verify::check_loop_freedom(net);
-    const auto full_valley = verify::check_valley_freedom(net);
-    const auto full_lint = verify::lint_deployment(net, g, em.daemons, owners);
-    differential_ok =
-        full_loop.loop_free == warm.loop.loop_free &&
-        rendered(full_loop.cycles) == rendered(warm.loop.cycles) &&
-        rendered(full_valley.violations) == rendered(warm.valley.violations) &&
-        rendered(full_lint) == rendered(warm.lint);
-    if (opt.blackhole) {
-      const auto full_reach = verify::check_reachability(net);
-      differential_ok =
-          differential_ok &&
-          rendered(full_reach.blackholes) == rendered(warm.reach.blackholes);
-    }
-    std::printf("differential: incremental verdicts %s the full provers\n",
-                differential_ok ? "identical to" : "DIVERGED from");
-    loop_check = std::move(warm.loop);
-    valley_check = std::move(warm.valley);
-    reach = std::move(warm.reach);
-    deployment_issues = std::move(warm.lint);
-  } else {
-    loop_check = verify::check_loop_freedom(net);
-    valley_check = verify::check_valley_freedom(net);
-    if (opt.blackhole) reach = verify::check_reachability(net);
-    deployment_issues = verify::lint_deployment(net, g, em.daemons, owners);
+  // Warm pass: the verdicts come from here, and the untouched full provers
+  // act as the oracle.
+  changes.drain(change_log);
+  const auto warm = inc.check(net, g, em.daemons, owners, changes);
+  changes.clear();
+  if (!opt.quiet) {
+    std::printf("incremental: warm pass re-proved %zu/%zu destinations "
+                "(%zu cache hits, %zu states explored)\n",
+                warm.stats.dirty_destinations, warm.stats.destinations,
+                warm.stats.cache_hits, warm.stats.states_explored);
   }
+  const std::string diff = verify::first_difference(
+      warm, verify::check_from_scratch(net, g, em.daemons, owners,
+                                       inc.config()));
+  const bool differential_ok = diff.empty();
+  std::printf("differential: incremental verdicts %s the full provers%s%s\n",
+              differential_ok ? "identical to" : "DIVERGED from",
+              differential_ok ? "" : ": ", diff.c_str());
+
   auto issues = verify::lint_topology(g);
-  issues.insert(issues.end(), deployment_issues.begin(),
-                deployment_issues.end());
+  issues.insert(issues.end(), warm.lint.begin(), warm.lint.end());
 
   if (!opt.quiet) {
     std::printf("deployment: %zu routers, %zu prefixes, %zu alt routes "
                 "installed\n",
-                net.num_routers(), loop_check.stats.destinations, alt_routes);
+                net.num_routers(), warm.loop.stats.destinations, alt_routes);
     std::printf("deflection graph: %zu states, %zu edges explored\n",
-                loop_check.stats.states, loop_check.stats.edges);
+                warm.loop.stats.states, warm.loop.stats.edges);
     for (const auto& issue : issues) {
       std::printf("lint: %s\n", issue.to_string().c_str());
     }
   }
 
-  for (const auto& cycle : loop_check.cycles) {
+  for (const auto& cycle : warm.loop.cycles) {
     std::printf("COUNTEREXAMPLE %s\n", cycle.to_string().c_str());
   }
-  for (const auto& v : valley_check.violations) {
+  for (const auto& v : warm.valley.violations) {
     std::printf("COUNTEREXAMPLE valley %s\n", v.to_string().c_str());
   }
-  for (const auto& b : reach.blackholes) {
+  for (const auto& b : warm.reach.blackholes) {
     std::printf("COUNTEREXAMPLE %s\n", b.to_string().c_str());
   }
-  const bool clean = loop_check.loop_free && valley_check.valley_free &&
-                     reach.clean && issues.empty() && differential_ok;
+  const bool clean = warm.loop.loop_free && warm.valley.valley_free &&
+                     warm.reach.clean && issues.empty() && differential_ok;
   if (clean) {
     std::printf("verdict: LOOP-FREE (%zu destinations, lint clean)\n",
-                loop_check.stats.destinations);
+                warm.loop.stats.destinations);
     return 0;
   }
   const char* verdict = "LINT-DIRTY";
-  if (!loop_check.loop_free) {
+  if (!warm.loop.loop_free) {
     verdict = "CYCLE-FOUND";
-  } else if (!valley_check.valley_free) {
+  } else if (!warm.valley.valley_free) {
     verdict = "VALLEY-FOUND";
-  } else if (!reach.clean) {
+  } else if (!warm.reach.clean) {
     verdict = "BLACKHOLE-FOUND";
   } else if (!differential_ok) {
     verdict = "DIFFERENTIAL-MISMATCH";
   }
   std::printf("verdict: %s (%zu cycles, %zu valleys, %zu blackholes, "
               "%zu lint issues)\n",
-              verdict, loop_check.cycles.size(),
-              valley_check.violations.size(), reach.blackholes.size(),
+              verdict, warm.loop.cycles.size(),
+              warm.valley.violations.size(), warm.reach.blackholes.size(),
               issues.size());
   return 2;
 }
